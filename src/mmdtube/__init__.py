@@ -37,13 +37,11 @@ from .operators import (
     FittedOperator,
     OperatorNorms,
     fit,
-    load_checkpoint,
     operator_diff_norm,
     operator_diff_norm_maximizer,
     operator_norm,
     operator_norm_maximizer,
     pushforward,
-    save_checkpoint,
 )
 from .sde import (
     GaussianInitial,
@@ -104,7 +102,6 @@ __all__ = [
     "gaussian_embedding_value",
     "gram",
     "langevin_model",
-    "load_checkpoint",
     "load_dataset",
     "load_tube_radii",
     "median_bandwidth",
@@ -122,7 +119,6 @@ __all__ = [
     "pushforward",
     "quantile_index",
     "radius_series",
-    "save_checkpoint",
     "save_dataset",
     "save_tube",
     "simulate_pairs",

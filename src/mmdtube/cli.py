@@ -3,9 +3,8 @@
 Usage: ``mmdtube <subcommand> [--config cfg.json] [overrides]``.  A config
 file provides the experiment parameters; individual flags override single
 fields.  Commands exit 0 on success and print a machine-readable error JSON
-to stderr otherwise.  The ``TOOL_THREADS`` environment variable caps internal
-parallelism (BLAS pools and bootstrap replicate workers); it defaults to the
-available cores.
+to stderr otherwise.  The ``TOOL_THREADS`` environment variable sets the
+number of threads that run bootstrap replicates; unset, they run serially.
 """
 
 from __future__ import annotations
@@ -14,15 +13,6 @@ import argparse
 import json
 import os
 import sys
-
-
-def _cap_threads() -> None:
-    raw = os.environ.get("TOOL_THREADS")
-    if not raw:
-        return
-    # must happen before numpy spins up its BLAS pool
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, raw)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -73,7 +63,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = _parser().parse_args(argv)
 
     from . import experiments as exp

@@ -19,30 +19,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .kernels import KernelSpec
+from .kernels import _BLOCK_ENTRIES, KernelSpec, _upper_bands
 from .sde import PairedDataset
-
-_BLOCK_ROWS_ENTRIES = 8_000_000
 
 
 def estimate_second_moment(data: PairedDataset, spec: KernelSpec) -> float:
     """Monte-Carlo estimate ``(1/m) sum_i k(x_i, x_i) k(y_i, y_i)``.
 
-    For the Gaussian RBF the kernel diagonal is identically one, so this
-    returns 1.0 exactly; the estimator is kept general for other families.
+    The Gaussian RBF kernel, the only one the library implements, has
+    ``k(z, z) = 1`` for every state, so every summand is one and the
+    estimate is exactly 1.0.
     """
-    kx = np.ones(data.m)  # k(x, x) = 1 for gaussian-rbf
-    ky = np.ones(data.m)
-    return float(np.mean(kx * ky))
-
-
-def _rbf_rect(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    sq = cdist(a, b, metric="sqeuclidean")
-    sq *= gamma
-    np.exp(sq, out=sq)
-    return sq
+    return 1.0
 
 
 def estimate_hs_norm_cxy(data: PairedDataset, spec: KernelSpec) -> float:
@@ -53,19 +42,10 @@ def estimate_hs_norm_cxy(data: PairedDataset, spec: KernelSpec) -> float:
     row blocks and never materializes full Gram matrices.
     """
     m = data.m
-    gamma = -1.0 / (2.0 * spec.bandwidth**2)
     total = float(m)  # diagonal: k(x_i, x_i) k(y_i, y_i) = 1 for gaussian-rbf
-    start = 0
-    while start < m - 1:
-        width = m - start
-        stop = min(start + max(1, _BLOCK_ROWS_ENTRIES // width), m)
-        kx = _rbf_rect(data.x[start:stop], data.x[start:], gamma)
-        ky = _rbf_rect(data.y[start:stop], data.y[start:], gamma)
-        kx *= ky
-        for r in range(stop - start):  # keep strictly-upper entries only
-            kx[r, : r + 1] = 0.0
-        total += 2.0 * float(np.sum(kx))
-        start = stop
+    # half the band size: a K_XX band and a K_YY band are held at once
+    for _, _, k in _upper_bands((data.x, data.y), spec, _BLOCK_ENTRIES // 2):
+        total += 2.0 * float(np.sum(k))
     return math.sqrt(total / (m * m))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -123,30 +124,6 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _simulate(config: ExperimentConfig, seed: int | None = None) -> sde.PairedDataset:
-    model = build_model(config.model)
-    initial = build_initial(config.initial)
-    return sde.simulate_pairs(model, initial, config.lag, config.m, dt=config.dt,
-                              seed=config.seed if seed is None else seed)
-
-
-def cmd_simulate(config: ExperimentConfig) -> dict:
-    """Generate the paired dataset and write CSV + JSON sidecar."""
-    out = _outdir(config)
-    data = _simulate(config)
-    csv_path, sidecar = sde.save_dataset(data, out / "dataset.csv")
-    return {"dataset_csv": csv_path, "dataset_json": sidecar}
-
-
-def _bootstrap_for(config: ExperimentConfig, data: sde.PairedDataset,
-                   seed: int, m_b: int | None = None) -> bootstrap.BootstrapSummary:
-    spec = resolve_kernel(config, data)
-    workers = _env_workers()
-    return bootstrap.bootstrap_deviation_quantile(
-        data, config.lam, spec, m_b=config.m_b if m_b is None else m_b,
-        alpha=config.alpha_conf, seed=seed, workers=workers)
-
-
 def _env_workers() -> int | None:
     raw = os.environ.get("TOOL_THREADS")
     if not raw:
@@ -157,24 +134,72 @@ def _env_workers() -> int | None:
         return None
 
 
-def cmd_bootstrap(config: ExperimentConfig) -> dict:
-    """Bootstrap the operator deviation; write deviations CSV + summary JSON."""
-    out = _outdir(config)
-    data_stream, boot_stream = _streams(config.seed, 2)
-    data = _simulate(config, _seed_of(data_stream))
-    summary = _bootstrap_for(config, data, _seed_of(boot_stream))
+@dataclass
+class _Run:
+    """One ``(config, seed)`` run: the dataset, its kernel and its bootstrap.
+
+    The data are drawn from ``data_stream`` and the bootstrap replicates from
+    ``boot_stream``; every command reads them from here, so all artifacts of a
+    run describe one dataset.  Each quantity is computed on first use and at
+    most once.
+    """
+
+    config: ExperimentConfig
+    data_stream: np.random.SeedSequence
+    boot_stream: np.random.SeedSequence
+
+    @staticmethod
+    def of(config: ExperimentConfig) -> "_Run":
+        """The run of a single-run command: streams [data, bootstrap] of the seed."""
+        return _Run(config, *_streams(config.seed, 2))
+
+    @cached_property
+    def data(self) -> sde.PairedDataset:
+        c = self.config
+        return sde.simulate_pairs(build_model(c.model), build_initial(c.initial), c.lag, c.m,
+                                  dt=c.dt, seed=_seed_of(self.data_stream))
+
+    @cached_property
+    def spec(self) -> KernelSpec:
+        return resolve_kernel(self.config, self.data)
+
+    @cached_property
+    def summary(self) -> bootstrap.BootstrapSummary:
+        c = self.config
+        return bootstrap.bootstrap_deviation_quantile(
+            self.data, c.lam, self.spec, m_b=c.m_b, alpha=c.alpha_conf,
+            seed=_seed_of(self.boot_stream), workers=_env_workers())
+
+
+def _write_dataset(out: Path, run: _Run) -> dict:
+    csv_path, sidecar = sde.save_dataset(run.data, out / "dataset.csv")
+    return {"dataset_csv": csv_path, "dataset_json": sidecar}
+
+
+def _write_bootstrap(out: Path, run: _Run) -> dict:
+    summary = run.summary
     dev_csv = out / "deviations.csv"
     np.savetxt(dev_csv, summary.deviations, delimiter=",", comments="",
                header="deviation", fmt="%.17g")
     summary_json = _write_json(out / "bootstrap.json", {
-        "m": data.m,
+        "m": run.data.m,
         "m_b": summary.m_b,
         "alpha": summary.confidence_alpha,
         "delta": summary.quantile_delta,
         "deviations_csv_path": dev_csv.name,
-        "seed": config.seed,
+        "seed": run.config.seed,
     })
     return {"deviations_csv": dev_csv, "summary_json": summary_json, "summary": summary}
+
+
+def cmd_simulate(config: ExperimentConfig) -> dict:
+    """Generate the paired dataset and write CSV + JSON sidecar."""
+    return _write_dataset(_outdir(config), _Run.of(config))
+
+
+def cmd_bootstrap(config: ExperimentConfig) -> dict:
+    """Bootstrap the operator deviation; write deviations CSV + summary JSON."""
+    return _write_bootstrap(_outdir(config), _Run.of(config))
 
 
 def fit_loglog_slope(ms, deltas) -> tuple[float, float, bool]:
@@ -200,12 +225,8 @@ def cmd_rate(config: ExperimentConfig, m_list=DEFAULT_RATE_SWEEP) -> dict:
         raise ValueError(f"rate sweep needs at least 3 sizes, got {len(m_list)}")
     out = _outdir(config)
     streams = _streams(config.seed, 2 * len(m_list))
-    deltas = []
-    for i, m in enumerate(m_list):
-        cfg = config.with_overrides(m=m)
-        data = _simulate(cfg, _seed_of(streams[2 * i]))
-        summary = _bootstrap_for(cfg, data, _seed_of(streams[2 * i + 1]))
-        deltas.append(summary.quantile_delta)
+    deltas = [_Run(config.with_overrides(m=m), *streams[2 * i:2 * i + 2]).summary.quantile_delta
+              for i, m in enumerate(m_list)]
     slope, intercept, degenerate = fit_loglog_slope(m_list, deltas)
     rate_csv = out / "rate.csv"
     np.savetxt(rate_csv, np.column_stack([m_list, deltas]), delimiter=",",
@@ -235,18 +256,16 @@ def cmd_oracle_compare(config: ExperimentConfig, oracle: OracleSpec = OracleSpec
     initial = build_initial(config.initial)
     rows = []
     for i, m in enumerate(m_list):
-        cfg = config.with_overrides(m=m)
-        data = _simulate(cfg, _seed_of(streams[3 * i]))
-        spec = resolve_kernel(cfg, data)
-        summary = _bootstrap_for(cfg, data, _seed_of(streams[3 * i + 1]))
-        op = operators.fit(data, cfg.lam, spec)
+        # three streams per size: data, bootstrap, oracle trials
+        run = _Run(config.with_overrides(m=m), *streams[3 * i:3 * i + 2])
+        op = operators.fit(run.data, config.lam, run.spec)
         oracle_mmds = []
         for trial_stream in streams[3 * i + 2].spawn(oracle.trials):
-            fresh = sde.simulate_pairs(model, initial, cfg.lag, oracle.sample_count,
-                                       dt=cfg.dt, seed=_seed_of(trial_stream))
+            fresh = sde.simulate_pairs(model, initial, config.lag, oracle.sample_count,
+                                       dt=config.dt, seed=_seed_of(trial_stream))
             pushed = operators.pushforward(op, embed_sample(fresh.x))
-            oracle_mmds.append(mmd(embed_sample(fresh.y), pushed, spec))
-        rows.append((m, summary.quantile_delta, float(np.mean(oracle_mmds))))
+            oracle_mmds.append(mmd(embed_sample(fresh.y), pushed, run.spec))
+        rows.append((m, run.summary.quantile_delta, float(np.mean(oracle_mmds))))
     table = np.array(rows)
     report_csv = out / "oracle.csv"
     np.savetxt(report_csv, table, delimiter=",", comments="",
@@ -254,20 +273,9 @@ def cmd_oracle_compare(config: ExperimentConfig, oracle: OracleSpec = OracleSpec
     return {"oracle_csv": report_csv, "table": table}
 
 
-def cmd_tube(config: ExperimentConfig, bound: str = "bootstrap",
-             f_override: float | None = None) -> dict:
-    """Fit, estimate the operator norms, propagate the tube, write CSVs.
-
-    ``bound`` selects the source of the deviation estimate F: the bootstrap
-    quantile or the Bernstein concentration bound.  ``f_override`` forces a
-    fixed F (0 isolates the pure radius contraction/expansion).
-    """
-    if bound not in ("bootstrap", "bernstein"):
-        raise ValueError(f"bound must be 'bootstrap' or 'bernstein', got {bound!r}")
-    out = _outdir(config)
-    data_stream, f_stream = _streams(config.seed, 2)
-    data = _simulate(config, _seed_of(data_stream))
-    spec = resolve_kernel(config, data)
+def _write_tube(out: Path, run: _Run, bound: str = "bootstrap",
+               f_override: float | None = None) -> dict:
+    config, data, spec = run.config, run.data, run.spec
     op = operators.fit(data, config.lam, spec)
     e_norm = operators.operator_norm(op)
 
@@ -277,8 +285,7 @@ def cmd_tube(config: ExperimentConfig, bound: str = "bootstrap",
         f_norm = float(f_override)
         f_source = "override"
     elif bound == "bootstrap":
-        summary = _bootstrap_for(config, data, _seed_of(f_stream))
-        f_norm = summary.quantile_delta
+        f_norm = run.summary.quantile_delta
         f_source = "bootstrap"
     else:
         moments_t = concentration.estimate_moments(data, spec)
@@ -308,14 +315,25 @@ def cmd_tube(config: ExperimentConfig, bound: str = "bootstrap",
             "e_norm": e_norm, "f_norm": f_norm}
 
 
+def cmd_tube(config: ExperimentConfig, bound: str = "bootstrap",
+             f_override: float | None = None) -> dict:
+    """Fit, estimate the operator norms, propagate the tube, write CSVs.
+
+    ``bound`` selects the source of the deviation estimate F: the bootstrap
+    quantile or the Bernstein concentration bound.  ``f_override`` forces a
+    fixed F (0 isolates the pure radius contraction/expansion).
+    """
+    if bound not in ("bootstrap", "bernstein"):
+        raise ValueError(f"bound must be 'bootstrap' or 'bernstein', got {bound!r}")
+    return _write_tube(_outdir(config), _Run.of(config), bound, f_override)
+
+
 def cmd_reproduce_ou(config: ExperimentConfig, with_rate: bool = False,
                      plot: bool = False) -> dict:
     """Chain the OU pipeline end-to-end: simulate, bootstrap, tube (optionally rate)."""
     out = _outdir(config)
-    results = {}
-    results.update(cmd_simulate(config))
-    results.update(cmd_bootstrap(config))
-    results.update(cmd_tube(config))
+    run = _Run.of(config)
+    results = {**_write_dataset(out, run), **_write_bootstrap(out, run), **_write_tube(out, run)}
     if with_rate:
         results.update(cmd_rate(config))
     if plot:

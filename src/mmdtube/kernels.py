@@ -23,18 +23,13 @@ _BLOCK_ENTRIES = 16_000_000
 class KernelSpec:
     """Positive-definite kernel description.
 
-    ``bandwidth`` is the length-scale sigma of
-    ``k(x, y) = exp(-||x - y||^2 / (2 sigma^2))``.  Only the Gaussian RBF
-    family is implemented; the field exists so other families can be added
-    without changing call sites.
+    ``bandwidth`` is the length-scale sigma of the Gaussian RBF kernel
+    ``k(x, y) = exp(-||x - y||^2 / (2 sigma^2))``.
     """
 
     bandwidth: float
-    family: str = "gaussian-rbf"
 
     def __post_init__(self):
-        if self.family != "gaussian-rbf":
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
         if not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be a positive real, got {self.bandwidth}")
 
@@ -69,6 +64,28 @@ def _rbf_block(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarr
     sq *= -1.0 / (2.0 * spec.bandwidth**2)
     np.exp(sq, out=sq)
     return sq
+
+
+def _upper_bands(point_sets, spec: KernelSpec, block_entries: int):
+    """Walk the strict upper triangle of a product of square Grams in row bands.
+
+    Yields ``(start, stop, k)`` where ``k`` holds rows ``start:stop`` and
+    columns ``start:`` of the elementwise product of the Grams of each point
+    set, with the entries on and below the diagonal zeroed.  A band holds at
+    most ``block_entries`` entries per Gram (at least one row).
+    """
+    first, *rest = point_sets
+    n = first.shape[0]
+    start = 0
+    while start < n - 1:
+        stop = min(start + max(1, block_entries // (n - start)), n)
+        k = _rbf_block(first[start:stop], first[start:], spec)
+        for pts in rest:
+            k *= _rbf_block(pts[start:stop], pts[start:], spec)
+        for r in range(stop - start):  # keep strictly-upper entries only
+            k[r, : r + 1] = 0.0
+        yield start, stop, k
+        start = stop
 
 
 def gram(rows, cols, spec: KernelSpec) -> np.ndarray:
@@ -148,18 +165,10 @@ def embed_sample(samples) -> Embedding:
 
 def _self_quadratic(e: Embedding, spec: KernelSpec) -> float:
     """``w^T K w`` for one embedding, touching only the upper triangle."""
-    n = len(e)
     diag = float(np.sum(e.weights**2))  # k(z, z) = 1 for gaussian-rbf
     off = 0.0
-    start = 0
-    while start < n - 1:
-        width = n - start
-        stop = min(start + max(1, _BLOCK_ENTRIES // width), n)
-        k = _rbf_block(e.anchors[start:stop], e.anchors[start:], spec)
-        for r in range(stop - start):  # keep strictly-upper entries only
-            k[r, : r + 1] = 0.0
+    for start, stop, k in _upper_bands((e.anchors,), spec, _BLOCK_ENTRIES):
         off += float(e.weights[start:stop] @ k @ e.weights[start:])
-        start = stop
     return diag + 2.0 * off
 
 

@@ -15,16 +15,14 @@ eigenspace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
 
 from .kernels import Embedding, KernelSpec, as_points, gram
-from .sde import PairedDataset, load_dataset
+from .sde import PairedDataset
 
 # relative eigenvalue cutoff for pseudo-inverses of (possibly singular) Grams
 RANK_RTOL = 1e-10
@@ -177,34 +175,3 @@ class OperatorNorms:
     def __post_init__(self):
         if self.e_norm < 0 or self.f_norm < 0:
             raise ValueError("operator norms must be nonnegative")
-
-
-def save_checkpoint(path, dataset_csv, lam: float, spec: KernelSpec) -> Path:
-    """Write an operator checkpoint: dataset reference plus fit parameters.
-
-    Factorizations are not serialized; loading refits from the referenced
-    dataset.  ``dataset_csv`` is stored as given (use a path relative to the
-    checkpoint for relocatable artifacts).
-    """
-    path = Path(path)
-    payload = {
-        "dataset_csv": str(dataset_csv),
-        "lambda": lam,
-        "bandwidth": spec.bandwidth,
-        "kernel_family": spec.family,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def load_checkpoint(path) -> FittedOperator:
-    """Refit the operator described by a checkpoint file."""
-    path = Path(path)
-    payload = json.loads(path.read_text())
-    csv = Path(payload["dataset_csv"])
-    if not csv.is_absolute():
-        csv = path.parent / csv
-    data = load_dataset(csv)
-    spec = KernelSpec(bandwidth=float(payload["bandwidth"]),
-                      family=str(payload["kernel_family"]))
-    return fit(data, float(payload["lambda"]), spec)

@@ -144,17 +144,31 @@ class PairedDataset:
         return self.x.shape[1]
 
 
+def _ou_transition(lag: float, alpha: float, beta_temp: float) -> tuple[float, float]:
+    """Mean factor and standard deviation of the exact OU transition over ``lag``."""
+    if lag <= 0 or alpha <= 0 or beta_temp <= 0:
+        raise ValueError("lag, alpha, and beta_temp must all be positive")
+    decay = math.exp(-alpha * lag)
+    return decay, math.sqrt((1.0 - decay * decay) / (alpha * beta_temp))
+
+
 def ou_exact_step(x0: float, lag: float, alpha: float, beta_temp: float,
                   rng: np.random.Generator) -> float:
     """One exact Ornstein-Uhlenbeck transition.
 
     Draws from ``N(x0 e^{-alpha lag}, (1 - e^{-2 alpha lag}) / (alpha beta_temp))``.
     """
-    if lag <= 0 or alpha <= 0 or beta_temp <= 0:
-        raise ValueError("lag, alpha, and beta_temp must all be positive")
-    decay = math.exp(-alpha * lag)
-    var = (1.0 - decay * decay) / (alpha * beta_temp)
-    return float(x0 * decay + math.sqrt(var) * rng.standard_normal())
+    decay, sd = _ou_transition(lag, alpha, beta_temp)
+    return float(x0 * decay + sd * rng.standard_normal())
+
+
+def _em_step(model: SdeModel, state: np.ndarray, dt: float, noise: np.ndarray,
+             k: int) -> np.ndarray:
+    """One Euler-Maruyama increment; ``k`` is the step index for the error message."""
+    b = np.asarray(model.drift(state), dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise FloatingPointError(f"drift produced non-finite values at step {k}")
+    return state + b * dt + model.diffusion_const * math.sqrt(dt) * noise
 
 
 def euler_maruyama(model: SdeModel, x0, dt: float, steps: int,
@@ -167,27 +181,10 @@ def euler_maruyama(model: SdeModel, x0, dt: float, steps: int,
     state = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     out = np.empty((steps + 1, state.shape[0]))
     out[0] = state
-    scale = model.diffusion_const * math.sqrt(dt)
     for k in range(steps):
-        b = np.asarray(model.drift(state), dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise FloatingPointError(f"drift produced non-finite values at step {k}")
-        state = state + b * dt + scale * rng.standard_normal(state.shape)
+        state = _em_step(model, state, dt, rng.standard_normal(state.shape), k)
         out[k + 1] = state
     return out
-
-
-def _em_final_block(model: SdeModel, x0: np.ndarray, dt: float, steps: int,
-                    noise: np.ndarray) -> np.ndarray:
-    # x0: (n, d); noise: (n, steps, d); returns states after `steps` increments
-    state = x0.copy()
-    scale = model.diffusion_const * math.sqrt(dt)
-    for k in range(steps):
-        b = np.asarray(model.drift(state), dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise FloatingPointError(f"drift produced non-finite values at step {k}")
-        state = state + b * dt + scale * noise[:, k, :]
-    return state
 
 
 def simulate_pairs(model: SdeModel, initial: InitialSampler, lag: float, m: int,
@@ -206,10 +203,7 @@ def simulate_pairs(model: SdeModel, initial: InitialSampler, lag: float, m: int,
     rngs = [np.random.default_rng(c) for c in children]
 
     if model.ou_rate is not None:
-        alpha = model.ou_rate
-        beta_temp = 2.0 / model.diffusion_const**2
-        decay = math.exp(-alpha * lag)
-        sd = math.sqrt((1.0 - decay * decay) / (alpha * beta_temp))
+        decay, sd = _ou_transition(lag, model.ou_rate, 2.0 / model.diffusion_const**2)
         x = np.empty(m)
         y = np.empty(m)
         for i, rng in enumerate(rngs):
@@ -227,7 +221,10 @@ def simulate_pairs(model: SdeModel, initial: InitialSampler, lag: float, m: int,
         for i in range(start, stop):
             x0[i - start] = initial.sample(rngs[i], 1)[0]
             noise[i - start, :, 0] = rngs[i].standard_normal(steps)
-        y[start:stop] = _em_final_block(model, x0[:, None], dt, steps, noise)[:, 0]
+        state = x0[:, None]
+        for k in range(steps):
+            state = _em_step(model, state, dt, noise[:, k, :], k)
+        y[start:stop] = state[:, 0]
         x[start:stop] = x0
     return PairedDataset(x[:, None], y[:, None], lag, seed, model.name, dt=dt)
 

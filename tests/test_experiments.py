@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from mmdtube import load_dataset, load_tube_radii, quantile_index
+from mmdtube import bootstrap, load_dataset, load_tube_radii, quantile_index, sde
 from mmdtube.cli import main
 from mmdtube.experiments import (
     ExperimentConfig,
     OracleSpec,
+    build_initial,
+    build_model,
     cmd_bootstrap,
     cmd_oracle_compare,
     cmd_rate,
@@ -77,11 +79,17 @@ class TestSlopeFit:
 
 class TestCommands:
     def test_simulate_writes_dataset(self, tmp_path):
-        out = cmd_simulate(small_config(tmp_path, m=250, seed=7))
+        cfg = small_config(tmp_path, m=250, seed=7)
+        out = cmd_simulate(cfg)
         data = load_dataset(out["dataset_csv"])
         assert data.m == 250
         meta = json.loads(out["dataset_json"].read_text())
-        assert meta["m"] == 250 and meta["model"] == "ou" and meta["seed"] == 7
+        assert meta["m"] == 250 and meta["model"] == "ou"
+        # the sidecar seed is the one the pairs were drawn with
+        again = sde.simulate_pairs(build_model(cfg.model), build_initial(cfg.initial),
+                                   cfg.lag, cfg.m, dt=cfg.dt, seed=meta["seed"])
+        np.testing.assert_array_equal(again.x, data.x)
+        np.testing.assert_array_equal(again.y, data.y)
 
     def test_simulate_deterministic(self, tmp_path):
         cmd_simulate(small_config(tmp_path / "a"))
@@ -172,6 +180,36 @@ class TestCommands:
         assert {"dataset.csv", "dataset.json", "deviations.csv", "bootstrap.json",
                 "tube.csv", "tube_weights.csv", "tube.json"} <= names
         assert out["tube"].horizon == 3
+
+    def test_reproduce_ou_dataset_is_the_fitted_data(self, tmp_path):
+        out = cmd_reproduce_ou(small_config(tmp_path, T=3, m_b=12))
+        data = load_dataset(out["dataset_csv"])
+        steps = out["tube"].steps
+        np.testing.assert_array_equal(data.x, steps[0].embedding.anchors)
+        np.testing.assert_array_equal(data.y, steps[1].embedding.anchors)
+
+    def test_reproduce_ou_simulates_and_bootstraps_once(self, tmp_path, monkeypatch):
+        calls = {"simulate": 0, "bootstrap": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sde, "simulate_pairs", counted("simulate", sde.simulate_pairs))
+        monkeypatch.setattr(bootstrap, "bootstrap_deviation_quantile",
+                            counted("bootstrap", bootstrap.bootstrap_deviation_quantile))
+        cmd_reproduce_ou(small_config(tmp_path, T=3, m_b=12))
+        assert calls == {"simulate": 1, "bootstrap": 1}
+
+    def test_single_commands_match_reproduce_ou(self, tmp_path):
+        cfg = small_config(tmp_path / "single", T=3, m_b=12)
+        cmd_simulate(cfg)
+        cmd_bootstrap(cfg)
+        cmd_tube(cfg)
+        cmd_reproduce_ou(small_config(tmp_path / "chained", T=3, m_b=12))
+        assert tree_bytes(tmp_path / "single") == tree_bytes(tmp_path / "chained")
 
     def test_reproduce_ou_plot_emission(self, tmp_path):
         out = cmd_reproduce_ou(small_config(tmp_path, T=3, m_b=8), plot=True)

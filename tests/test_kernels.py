@@ -50,10 +50,6 @@ class TestEvalKernel:
         with pytest.raises(ValueError):
             KernelSpec(bandwidth=-1.0)
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth=1.0, family="polynomial")
-
 
 class TestGram:
     def test_two_point_gram(self, spec):

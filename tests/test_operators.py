@@ -10,7 +10,6 @@ from mmdtube import (
     PairedDataset,
     embed_sample,
     fit,
-    load_checkpoint,
     median_bandwidth,
     mmd,
     mmd_to_gaussian,
@@ -20,8 +19,6 @@ from mmdtube import (
     operator_norm_maximizer,
     pushforward,
     rkhs_norm,
-    save_checkpoint,
-    save_dataset,
 )
 
 from conftest import ou_dataset
@@ -212,17 +209,3 @@ class TestOperatorDiffNorm:
         op2 = fit(data, 0.1, KernelSpec(2.0))
         with pytest.raises(ValueError):
             operator_diff_norm(op1, op2)
-
-
-class TestCheckpoint:
-    def test_round_trip_refits_identically(self, spec, tmp_path):
-        data = ou_dataset(m=12, seed=15)
-        csv_path, _ = save_dataset(data, tmp_path / "train.csv")
-        op = fit(data, 0.07, spec)
-        ckpt = save_checkpoint(tmp_path / "op.json", "train.csv", 0.07, spec)
-        reloaded = load_checkpoint(ckpt)
-        mu = embed_sample(data.x)
-        np.testing.assert_array_equal(pushforward(op, mu).weights,
-                                      pushforward(reloaded, mu).weights)
-        assert reloaded.lam == op.lam
-        assert reloaded.spec == op.spec
