@@ -5,13 +5,17 @@ the operator, and records the exact RKHS norm of its deviation from the base
 operator.  The ``1 - alpha`` quantile of the sorted deviations estimates the
 error level of the fitted operator.
 
-Because a resample's inputs are a sub-multiset of the base inputs, both
-operators vanish outside the span of the base input features, and the
-deviation norm can be computed on that span alone.  This is algebraically
-identical to :func:`mmdtube.operators.operator_diff_norm` on the concatenated
-anchors (the tests assert so) but avoids the ``2m x 2m`` eigenproblem, and it
-reuses the base factorization and constraint eigendecomposition across all
-replicates.
+Both operators vanish outside the span of the base input features, so the
+deviation norm is computed on that span, as :func:`operators.operator_diff_norm`
+on the concatenated anchors would (the tests assert so).  A resample enters
+only through its multiplicities ``N = diag(n)``.  With the base eigenpairs
+``K_XX = g g^T``, ``g = U Lambda^{1/2}`` (``r`` retained), Woodbury turns its
+ridge system into the SPD ``H = g^T N g + m lam I_r``, and its output weights,
+folded onto the base outputs, are ``N g H^{-1}``: ``O(m^2 r + r^3)`` per
+replicate and nothing ``m x m``.  The quadratic form is ``D^T K_YY D`` with
+``D`` the weight difference; the four-block sum ``A + B - C - C^T`` would
+cancel to a ``sqrt(eps)`` floor in the norm.  A resample that repeats the base
+pairs row for row is the same operator and gets exactly 0.0.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
@@ -56,29 +61,19 @@ def quantile_index(m_b: int, alpha: float) -> int:
     return int(math.ceil(m_b * (1.0 - alpha) - 1e-9)) - 1
 
 
-class _Scratch:
-    """Reusable per-worker buffers; replicate-size allocations dominate otherwise."""
-
-    def __init__(self, m: int):
-        self.rows = np.empty((m, m))
-        self.sub = np.empty((m, m))
-
-
-def _resample_deviation(base: FittedOperator, gw: np.ndarray, v1: np.ndarray,
-                        a0: np.ndarray, idx: np.ndarray, scratch: _Scratch) -> float:
+def _resample_deviation(base: FittedOperator, g: np.ndarray, v1: np.ndarray,
+                        idx: np.ndarray) -> float:
     """Deviation norm between the base operator and one resample refit."""
-    m, lam = base.m, base.lam
-    np.take(base.k_xx, idx, axis=0, out=scratch.rows)
-    k_tt = np.take(scratch.rows, idx, axis=1, out=scratch.sub)
-    k_tt[np.diag_indices_from(k_tt)] += m * lam
-    chol_t = cho_factor(k_tt, overwrite_a=True, check_finite=False)
-    v2 = cho_solve(chol_t, gw[idx, :], check_finite=False)
-    hv = np.take(base.k_yy, idx, axis=1, out=scratch.rows) @ v2
-    b = v2.T @ hv[idx, :]
-    c = v1.T @ hv
-    m_red = a0 + b - c - c.T
-    m_red = 0.5 * (m_red + m_red.T)
-    top = eigvalsh(m_red, check_finite=False)[-1]
+    x, y = base.x_train, base.y_train
+    if np.array_equal(x[idx], x) and np.array_equal(y[idx], y):
+        return 0.0  # the resample is the base pairs row for row: the same operator
+    n = np.bincount(idx, minlength=base.m).astype(float)
+    ng = n[:, None] * g
+    h = g.T @ ng
+    h[np.diag_indices_from(h)] += base.m * base.lam
+    d = cho_solve(cho_factor(h, check_finite=False), ng.T, check_finite=False).T - v1
+    m_red = d.T @ (base.k_yy @ d)
+    top = eigvalsh(0.5 * (m_red + m_red.T), check_finite=False)[-1]
     return float(np.sqrt(max(0.0, top)))
 
 
@@ -95,33 +90,17 @@ def bootstrap_deviation_quantile(data: PairedDataset, lam: float, spec: KernelSp
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     base = fit(data, lam, spec)
-    m = base.m
-
     vals, vecs = base._kxx_eig
-    constraint_w = vecs / np.sqrt(vals)
-    gw = base.k_xx @ constraint_w
-    v1 = base.solve(gw)
-    a0 = v1.T @ (base.k_yy @ v1)
+    g = vecs * np.sqrt(vals)                    # K_XX = g g^T on the retained space
+    v1 = base.solve(g)
 
-    draws = resample_indices(m, m_b, seed)
-    deviations = np.empty(m_b)
-
-    def run_chunk(lo: int, hi: int) -> None:
-        scratch = _Scratch(m)
-        for j in range(lo, hi):
-            deviations[j] = _resample_deviation(base, gw, v1, a0, draws[j], scratch)
-
+    replicate = partial(_resample_deviation, base, g, v1)
+    draws = resample_indices(base.m, m_b, seed)
     if workers is not None and workers > 1 and m_b > 1:
-        n_chunks = min(workers, m_b)
-        bounds = np.linspace(0, m_b, n_chunks + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            jobs = [pool.submit(run_chunk, lo, hi)
-                    for lo, hi in zip(bounds[:-1], bounds[1:])]
-            for job in jobs:
-                job.result()
+        with ThreadPoolExecutor(max_workers=min(workers, m_b)) as pool:
+            deviations = np.array(list(pool.map(replicate, draws)))
     else:
-        run_chunk(0, m_b)
-
+        deviations = np.array([replicate(idx) for idx in draws])
     deviations.sort()
     delta = float(deviations[quantile_index(m_b, alpha)])
     return BootstrapSummary(deviations, delta, alpha, seed)
@@ -131,8 +110,8 @@ def resample_indices(data_m: int, m_b: int, seed: int) -> list[np.ndarray]:
     """The exact index draws a bootstrap run with this seed will use.
 
     Replicate ``j`` draws from substream ``j``.  Indices are sorted: the
-    resampled operator only depends on the index multiset, and sorted rows
-    gather faster.
+    resampled operator only depends on the index multiset, and a draw that
+    hits every index once is the base data row for row.
     """
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m_b)]
     return [np.sort(rng.integers(0, data_m, size=data_m)) for rng in rngs]

@@ -254,6 +254,11 @@ def load_dataset(csv_path, sidecar_path=None) -> PairedDataset:
     sidecar_path = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
     meta = json.loads(sidecar_path.read_text())
     table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    if table.shape[1] % 2:
+        raise ValueError(f"{csv_path} has {table.shape[1]} columns; x and y need an even count")
+    if table.shape[0] != meta["m"]:
+        raise ValueError(f"{csv_path} has {table.shape[0]} rows but {sidecar_path} "
+                         f"says m = {meta['m']}")
     d = table.shape[1] // 2
     return PairedDataset(table[:, :d], table[:, d:], lag=float(meta["lag"]),
                          seed=int(meta["seed"]), model_name=str(meta["model"]),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdtube import (
     KernelSpec,
@@ -10,8 +12,19 @@ from mmdtube import (
     quantile_index,
 )
 from mmdtube.bootstrap import resample_indices
+from mmdtube.kernels import median_bandwidth
 
 from conftest import ou_dataset
+
+
+def diff_norm_oracle(data, lam, spec, m_b, seed):
+    """Sorted bootstrap deviations recomputed with ``operator_diff_norm``."""
+    base = fit(data, lam, spec)
+    devs = []
+    for idx in resample_indices(data.m, m_b, seed):
+        resample = PairedDataset(data.x[idx], data.y[idx], lag=data.lag, seed=0)
+        devs.append(operator_diff_norm(base, fit(resample, lam, spec)))
+    return np.sort(devs)
 
 
 def constant_dataset(m=10):
@@ -79,15 +92,44 @@ class TestBootstrap:
         assert d_low >= d_high
 
     def test_matches_public_diff_norm(self, spec):
-        # the replicate fast path must agree with the concatenated-anchor norm
+        # the reduced replicate must agree with the concatenated-anchor norm
         data = ou_dataset(m=30, seed=11)
         summary = bootstrap_deviation_quantile(data, 0.05, spec, m_b=8, alpha=0.25, seed=12)
-        base = fit(data, 0.05, spec)
-        devs = []
-        for idx in resample_indices(30, 8, 12):
-            resample = PairedDataset(data.x[idx], data.y[idx], lag=data.lag, seed=0)
-            devs.append(operator_diff_norm(base, fit(resample, 0.05, spec)))
-        np.testing.assert_allclose(np.sort(devs), summary.deviations, atol=1e-8)
+        np.testing.assert_allclose(diff_norm_oracle(data, 0.05, spec, 8, 12),
+                                   summary.deviations, atol=1e-8)
+
+    @pytest.mark.parametrize("bandwidth", ["median", 0.05, 3.0])
+    @pytest.mark.parametrize("lam", [0.5, 0.05, 0.01, 1e-3])
+    @pytest.mark.parametrize("m", [12, 60, 300])
+    def test_matches_diff_norm_grid(self, m, lam, bandwidth):
+        # bandwidth 0.05 keeps nearly every eigenvalue of K_XX (r close to m)
+        data = ou_dataset(m=m, seed=11)
+        spec = KernelSpec(median_bandwidth(data.x) if bandwidth == "median" else bandwidth)
+        m_b = 8 if m < 300 else 3
+        summary = bootstrap_deviation_quantile(data, lam, spec, m_b=m_b, alpha=0.25, seed=12)
+        np.testing.assert_allclose(diff_norm_oracle(data, lam, spec, m_b, 12),
+                                   summary.deviations, atol=1e-8)
+
+    def test_constant_inputs_random_outputs_match_diff_norm(self):
+        # every resample repeats x but not y: the exact-zero rule must not fire
+        rng = np.random.default_rng(3)
+        data = PairedDataset(np.full((15, 1), 0.7), rng.normal(size=(15, 1)), lag=1.0, seed=0)
+        summary = bootstrap_deviation_quantile(data, 0.05, KernelSpec(1.0), m_b=10,
+                                               alpha=0.25, seed=4)
+        assert np.all(summary.deviations > 0.0)
+        np.testing.assert_allclose(diff_norm_oracle(data, 0.05, KernelSpec(1.0), 10, 4),
+                                   summary.deviations, atol=1e-8)
+
+    @settings(derandomize=True, deadline=None)
+    @given(m=st.integers(5, 40), lam=st.floats(0.01, 1.0), bandwidth=st.floats(0.3, 3.0),
+           data_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16))
+    def test_property_every_deviation_matches_diff_norm(self, m, lam, bandwidth,
+                                                         data_seed, seed):
+        data = ou_dataset(m=m, seed=data_seed)
+        spec = KernelSpec(bandwidth)
+        summary = bootstrap_deviation_quantile(data, lam, spec, m_b=4, alpha=0.25, seed=seed)
+        np.testing.assert_allclose(diff_norm_oracle(data, lam, spec, 4, seed),
+                                   summary.deviations, atol=1e-8)
 
     def test_median_deviation_decays_in_m(self, spec):
         medians = []

@@ -189,3 +189,20 @@ class TestSerialization:
         p2, s2 = save_dataset(load_dataset(p1), tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
+
+    def test_row_count_must_match_sidecar(self, tmp_path):
+        data = simulate_pairs(ou_model(1.0, 1.0), GaussianInitial(0.5, 2.0),
+                              lag=0.25, m=30, seed=42)
+        csv_path, _ = save_dataset(data, tmp_path / "pairs.csv")
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match="29 rows.*m = 30"):
+            load_dataset(csv_path)
+
+    def test_odd_column_count_rejected(self, tmp_path):
+        data = simulate_pairs(ou_model(1.0, 1.0), PointInitial(0.0), lag=0.5, m=3, seed=1)
+        csv_path, _ = save_dataset(data, tmp_path / "pairs.csv")
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(line + ",0" for line in lines) + "\n")
+        with pytest.raises(ValueError, match="3 columns"):
+            load_dataset(csv_path)
