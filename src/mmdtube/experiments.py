@@ -129,9 +129,12 @@ def _env_workers() -> int | None:
     if not raw:
         return None
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TOOL_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 @dataclass
@@ -307,6 +310,10 @@ def _write_tube(out: Path, run: _Run, bound: str = "bootstrap",
         "lambda": config.lam, "m": data.m, "bandwidth": spec.bandwidth,
         "bandwidth_rule": config.bandwidth if isinstance(config.bandwidth, str) else "explicit",
         "seed": config.seed,
+        "rank": len(op._kxx_eig[0]),
+        "ridge_condition": float(op.ridge[-1] / op.ridge[0]),
+        "growth": e_norm + f_norm,
+        "expanding": e_norm + f_norm >= 1.0,
         "note": "step index t corresponds to physical time t * lag; "
                 "T, lag, and bandwidth defaults are library choices",
     })

@@ -1,10 +1,12 @@
 """Regularized empirical embedded transfer operators.
 
-Fitting stores a Cholesky factorization of ``K_XX + m*lam*I`` (never an
-explicit inverse).  Pushing an embedding forward is two triangular solves;
-the operator norm and the norm of a difference of two operators are exact
-suprema over the span of the training features, realized as symmetric
-eigenproblems on that span.
+Fitting runs one eigendecomposition ``K_XX = U diag(s) U^T`` and keeps it
+with the ridge spectrum ``s + m*lam`` (never an explicit inverse).  Every
+ridge solve is ``(K_XX + m*lam*I)^{-1} b = U ((U^T b) / (s + m*lam))``, and
+the operator norm and the bootstrap read the retained eigenpairs of the
+same factorisation.  The operator norm and the norm of a difference of two
+operators are exact suprema over the span of the training features,
+realized as symmetric eigenproblems on that span.
 
 Gram matrices of resampled data are generically singular (duplicated
 anchors), so every constraint matrix is handled through a thresholded
@@ -16,10 +18,9 @@ eigenspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
+from scipy.linalg import eigh
 
 from .kernels import Embedding, KernelSpec, as_points, gram
 from .sde import PairedDataset
@@ -28,9 +29,8 @@ from .sde import PairedDataset
 RANK_RTOL = 1e-10
 
 
-def _truncated_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _truncated_eig(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric PSD matrix above the relative rank cutoff."""
-    vals, vecs = eigh(mat)
     cutoff = RANK_RTOL * max(vals[-1], 0.0)
     keep = vals > cutoff
     if not np.any(keep):
@@ -58,18 +58,17 @@ class FittedOperator:
         self.m = x_train.shape[0]
         self.k_xx = gram(x_train, x_train, spec)
         self.k_yy = gram(y_train, y_train, spec)
-        try:
-            self.solver = cho_factor(self.k_xx + self.m * self.lam * np.eye(self.m))
-        except np.linalg.LinAlgError as exc:  # only reachable via non-finite kernels
-            raise RuntimeError(f"Cholesky factorization of the ridge system failed: {exc}")
-
-    @cached_property
-    def _kxx_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return _truncated_eig(self.k_xx)
+        vals, self.eigvecs = eigh(self.k_xx)
+        self.ridge = vals + self.m * self.lam   # ascending spectrum of K_XX + m lam I
+        if self.ridge[0] <= 0:  # a round-off-negative eigenvalue outweighs m lam
+            raise RuntimeError(f"ridge system is not positive definite: smallest "
+                               f"eigenvalue {self.ridge[0]:.3g}; increase lam")
+        self._kxx_eig = _truncated_eig(vals, self.eigvecs)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply ``(K_XX + m*lam*I)^{-1}`` to a vector or matrix."""
-        return cho_solve(self.solver, rhs)
+        coef = self.eigvecs.T @ rhs
+        return self.eigvecs @ (coef.T / self.ridge).T   # row i of coef over ridge[i]
 
 
 def fit(data: PairedDataset, lam: float, spec: KernelSpec) -> FittedOperator:
@@ -90,30 +89,26 @@ def pushforward(op: FittedOperator, mu: Embedding) -> Embedding:
     return Embedding(op.y_train, weights)
 
 
-def _norm_problem(op: FittedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Symmetric form of sup { a^T K S K a : a^T K a <= 1 } on the numerical
-    # range of K, with S = (K + m lam I)^{-1} K_YY (K + m lam I)^{-1}.
-    vals, vecs = op._kxx_eig
-    sqrt_factor = vecs * np.sqrt(vals)          # columns of K^{1/2} restricted
-    t = op.solve(sqrt_factor)
-    m_red = t.T @ op.k_yy @ t
-    m_red = 0.5 * (m_red + m_red.T)
-    return m_red, vals, vecs
-
-
-def operator_norm(op: FittedOperator) -> float:
-    """Exact RKHS operator norm of the fitted operator."""
-    m_red, _, _ = _norm_problem(op)
-    top = eigvalsh(m_red)[-1]
-    return float(np.sqrt(max(0.0, top)))
+def _top(m_red: np.ndarray, w: np.ndarray, anchors: np.ndarray) -> tuple[float, Embedding]:
+    """Square root of the top eigenvalue of the quadratic form ``m_red`` and
+    the embedding on ``anchors`` with weights ``w v`` attaining it, where ``v``
+    is the top eigenvector and ``w`` maps reduced to anchor coordinates."""
+    vals, vecs = eigh(0.5 * (m_red + m_red.T))
+    return float(np.sqrt(max(0.0, vals[-1]))), Embedding(anchors, w @ vecs[:, -1])
 
 
 def operator_norm_maximizer(op: FittedOperator) -> tuple[float, Embedding]:
     """Operator norm together with a unit-norm embedding attaining it."""
-    m_red, vals, vecs = _norm_problem(op)
-    eigvals, eigvecs = eigh(m_red)
-    alpha = (vecs / np.sqrt(vals)) @ eigvecs[:, -1]
-    return float(np.sqrt(max(0.0, eigvals[-1]))), Embedding(op.x_train, alpha)
+    # Symmetric form of sup { a^T K S K a : a^T K a <= 1 } on the numerical
+    # range of K, with S = (K + m lam I)^{-1} K_YY (K + m lam I)^{-1}.
+    vals, vecs = op._kxx_eig
+    t = op.solve(vecs * np.sqrt(vals))          # columns of K^{1/2} restricted
+    return _top(t.T @ op.k_yy @ t, vecs / np.sqrt(vals), op.x_train)
+
+
+def operator_norm(op: FittedOperator) -> float:
+    """Exact RKHS operator norm of the fitted operator."""
+    return operator_norm_maximizer(op)[0]
 
 
 def _check_compatible(op1: FittedOperator, op2: FittedOperator) -> None:
@@ -123,41 +118,25 @@ def _check_compatible(op1: FittedOperator, op2: FittedOperator) -> None:
         raise ValueError("operators act on different state dimensions")
 
 
-def _diff_problem(op1: FittedOperator, op2: FittedOperator):
+def operator_diff_norm_maximizer(op1: FittedOperator,
+                                 op2: FittedOperator) -> tuple[float, Embedding]:
+    """Difference norm together with a unit-norm embedding attaining it."""
+    _check_compatible(op1, op2)
     # Quadratic form of ||(P1 - P2) mu||^2 for mu supported on the
     # concatenated anchors Z = [X1; X2], against the constraint Gram K_ZZ.
     z = np.vstack([op1.x_train, op2.x_train])
     t1 = op1.solve(gram(op1.x_train, z, op1.spec))
     t2 = op2.solve(gram(op2.x_train, z, op2.spec))
-    a = t1.T @ op1.k_yy @ t1
-    b = t2.T @ op2.k_yy @ t2
     c = t1.T @ gram(op1.y_train, op2.y_train, op1.spec) @ t2
-    m_full = a + b - c - c.T
-    m_full = 0.5 * (m_full + m_full.T)
-    k_zz = gram(z, z, op1.spec)
-    vals, vecs = _truncated_eig(k_zz)
+    m_full = t1.T @ op1.k_yy @ t1 + t2.T @ op2.k_yy @ t2 - c - c.T
+    vals, vecs = _truncated_eig(*eigh(gram(z, z, op1.spec)))
     w = vecs / np.sqrt(vals)                    # pseudo-inverse square root
-    m_red = w.T @ m_full @ w
-    m_red = 0.5 * (m_red + m_red.T)
-    return m_red, w, z
+    return _top(w.T @ m_full @ w, w, z)
 
 
 def operator_diff_norm(op1: FittedOperator, op2: FittedOperator) -> float:
     """Exact RKHS norm of the difference of two fitted operators."""
-    _check_compatible(op1, op2)
-    m_red, _, _ = _diff_problem(op1, op2)
-    top = eigvalsh(m_red)[-1]
-    return float(np.sqrt(max(0.0, top)))
-
-
-def operator_diff_norm_maximizer(op1: FittedOperator,
-                                 op2: FittedOperator) -> tuple[float, Embedding]:
-    """Difference norm together with a unit-norm embedding attaining it."""
-    _check_compatible(op1, op2)
-    m_red, w, z = _diff_problem(op1, op2)
-    eigvals, eigvecs = eigh(m_red)
-    alpha = w @ eigvecs[:, -1]
-    return float(np.sqrt(max(0.0, eigvals[-1]))), Embedding(z, alpha)
+    return operator_diff_norm_maximizer(op1, op2)[0]
 
 
 @dataclass(frozen=True)

@@ -156,12 +156,11 @@ def save_tube(tube: AmbiguityTube, radius_csv, weights_csv) -> tuple[Path, Path]
     table = np.column_stack([np.arange(tube.horizon + 1), tube.radii, tube.norms])
     np.savetxt(radius_csv, table, delimiter=",", comments="",
                header="t,radius,embedding_norm", fmt=["%d", "%.17g", "%.17g"])
-    rows = []
-    for t, step in enumerate(tube.steps):
-        w = step.embedding.weights
-        rows.append(np.column_stack([np.full(w.shape[0], t), np.arange(w.shape[0]), w]))
-    np.savetxt(weights_csv, np.vstack(rows), delimiter=",", comments="",
-               header="t,anchor_index,weight", fmt=["%d", "%d", "%.17g"])
+    # one joined string: the bytes np.savetxt writes with these formats, in
+    # a fraction of its row-by-row time
+    weights_csv.write_text("t,anchor_index,weight\n" + "".join(
+        "%d,%d,%.17g\n" % (t, i, w) for t, step in enumerate(tube.steps)
+        for i, w in enumerate(step.embedding.weights.tolist())))
     return radius_csv, weights_csv
 
 

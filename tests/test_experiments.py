@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh
 
 from mmdtube import bootstrap, load_dataset, load_tube_radii, quantile_index, sde
 from mmdtube.cli import main
 from mmdtube.experiments import (
     ExperimentConfig,
+    _Run,
     OracleSpec,
     build_initial,
     build_model,
@@ -19,6 +21,8 @@ from mmdtube.experiments import (
     cmd_tube,
     fit_loglog_slope,
 )
+from mmdtube.kernels import gram
+from mmdtube.operators import RANK_RTOL
 
 
 def small_config(tmp_path, **overrides):
@@ -162,6 +166,20 @@ class TestCommands:
         meta = json.loads(out["tube_json"].read_text())
         assert meta["f_source"] == "override" and meta["f_norm"] == 0.0
 
+    def test_tube_health_diagnostics(self, tmp_path):
+        cfg = small_config(tmp_path, T=3)
+        meta = json.loads(cmd_tube(cfg)["tube_json"].read_text())
+        run = _Run.of(cfg)
+        vals = eigvalsh(gram(run.data.x, run.data.x, run.spec))
+        assert meta["rank"] == np.count_nonzero(vals > RANK_RTOL * vals[-1])
+        mlam = cfg.m * cfg.lam
+        assert meta["ridge_condition"] == pytest.approx((vals[-1] + mlam) / (vals[0] + mlam),
+                                                        rel=1e-9)
+        assert meta["growth"] == meta["e_norm"] + meta["f_norm"]
+        assert meta["expanding"] is (meta["growth"] >= 1.0)
+        meta = json.loads(cmd_tube(cfg, f_override=5.0)["tube_json"].read_text())
+        assert meta["growth"] > 5.0 and meta["expanding"] is True
+
     def test_tube_bernstein_bound_source(self, tmp_path):
         cfg = small_config(tmp_path, T=3)
         out = cmd_tube(cfg, bound="bernstein")
@@ -264,6 +282,14 @@ class TestCli:
         assert code == 0
         capsys.readouterr()
         assert (tmp_path / "tube.csv").exists()
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+    def test_tool_threads_rejects_bad_values(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("TOOL_THREADS", value)
+        assert main(["bootstrap", "--m", "25", "--out", str(tmp_path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError"
+        assert "TOOL_THREADS" in payload["message"] and repr(value) in payload["message"]
 
     def test_tool_threads_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TOOL_THREADS", "2")

@@ -38,6 +38,24 @@ class TestFit:
         ridge = op.k_xx + op.m * op.lam * np.eye(op.m)
         np.testing.assert_allclose(ridge, [[2.0, EXP_HALF], [EXP_HALF, 2.0]], atol=1e-15)
 
+    @pytest.mark.parametrize("lam", [0.5, 1e-2, 1e-4, 1e-6])
+    def test_solve_matches_dense_ridge_solve(self, spec, lam):
+        # the eigendecomposition solve against a dense LU solve, on full-rank
+        # data and on duplicated anchors (rank-deficient K_XX)
+        ou = ou_dataset(m=60, seed=21)
+        dup = PairedDataset(np.repeat(ou.x[:20], 3, axis=0), np.repeat(ou.y[:20], 3, axis=0),
+                            lag=ou.lag, seed=0)
+        rng = np.random.default_rng(22)
+        for data in (ou, dup):
+            op = fit(data, lam, spec)
+            ridge = op.k_xx + op.m * lam * np.eye(op.m)
+            for rhs in (rng.standard_normal(op.m), rng.standard_normal((op.m, 3))):
+                x = op.solve(rhs)
+                assert x.shape == rhs.shape
+                assert np.linalg.norm(ridge @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+                dense = np.linalg.solve(ridge, rhs)
+                assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+
     def test_rejects_single_pair(self, spec):
         data = PairedDataset(np.zeros((1, 1)), np.zeros((1, 1)), lag=1.0, seed=0)
         with pytest.raises(ValueError):
@@ -129,12 +147,19 @@ class TestOperatorNorm:
         assert operator_norm(fit(data, 1e9, spec)) < 1e-6
 
     def test_maximizer_achieves_norm(self, spec):
-        for seed in range(5):
-            data = ou_dataset(m=20, seed=seed)
-            op = fit(data, 0.05, spec)
+        # OU data, duplicated anchors (rank-deficient K_XX) and a narrow
+        # bandwidth that keeps every eigenpair (r = m)
+        cases = [(ou_dataset(m=20, seed=seed), spec) for seed in range(5)]
+        ou = ou_dataset(m=20, seed=5)
+        cases.append((PairedDataset(np.repeat(ou.x[:10], 2, axis=0),
+                                    np.repeat(ou.y[:10], 2, axis=0), lag=ou.lag, seed=0), spec))
+        cases.append((ou, KernelSpec(bandwidth=0.05)))
+        for data, case_spec in cases:
+            op = fit(data, 0.05, case_spec)
             e, mu_star = operator_norm_maximizer(op)
-            assert abs(rkhs_norm(mu_star, spec) - 1.0) < 1e-10
-            assert abs(rkhs_norm(pushforward(op, mu_star), spec) - e) < 1e-8
+            assert abs(rkhs_norm(mu_star, case_spec) - 1.0) < 1e-10
+            assert abs(rkhs_norm(pushforward(op, mu_star), case_spec) - e) < 1e-8
+        assert op._kxx_eig[0].shape[0] == op.m
 
     def test_dominates_random_unit_embeddings(self, spec):
         rng = np.random.default_rng(7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmdtube import (
+    Embedding,
     OperatorNorms,
     closed_form_bound_computable,
     closed_form_bound_oracle,
@@ -15,6 +16,7 @@ from mmdtube import (
     rkhs_norm,
     save_tube,
 )
+from mmdtube.tube import AmbiguityTube, TubeStep
 
 from conftest import ou_dataset
 
@@ -172,3 +174,19 @@ class TestTubeSerialization:
         assert rows.shape == (4 * 8, 3)
         step2 = rows[rows[:, 0] == 2]
         np.testing.assert_array_equal(step2[:, 2], tube.steps[2].embedding.weights)
+
+    def test_weights_csv_bytes_match_savetxt(self, tmp_path):
+        # negative, subnormal, signed-zero and extreme weights, anchor counts per step
+        weights = [np.array([-1.5, 5e-324, -2.2e-308, 1.0 / 3.0]),
+                   np.array([0.0, -0.0, 1e300, -7.0, 2.5e-320]),
+                   np.array([-np.pi])]
+        tube = AmbiguityTube(tuple(
+            TubeStep(Embedding(np.zeros((w.shape[0], 1)), w), radius=0.1, norm=1.0)
+            for w in weights))
+        _, weights_csv = save_tube(tube, tmp_path / "tube.csv", tmp_path / "weights.csv")
+        rows = np.vstack([np.column_stack([np.full(w.shape[0], t), np.arange(w.shape[0]), w])
+                          for t, w in enumerate(weights)])
+        reference = tmp_path / "reference.csv"
+        np.savetxt(reference, rows, delimiter=",", comments="",
+                   header="t,anchor_index,weight", fmt=["%d", "%d", "%.17g"])
+        assert weights_csv.read_bytes() == reference.read_bytes()
