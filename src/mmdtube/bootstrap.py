@@ -11,9 +11,10 @@ on the concatenated anchors would (the tests assert so).  A resample enters
 only through its multiplicities ``N = diag(n)``.  With the base eigenpairs
 ``K_XX = g g^T``, ``g = U Lambda^{1/2}`` (``r`` retained), Woodbury turns its
 ridge system into the SPD ``H = g^T N g + m lam I_r``, and its output weights,
-folded onto the base outputs, are ``N g H^{-1}``: ``O(m^2 r + r^3)`` per
-replicate and nothing ``m x m``.  The quadratic form is ``D^T K_YY D`` with
-``D`` the weight difference; the four-block sum ``A + B - C - C^T`` would
+folded onto the base outputs, are ``N g H^{-1}``.  The quadratic form is
+``D^T K_YY D = (L_Y^T D)^T (L_Y^T D)`` with ``D`` the weight difference and
+``L_Y`` the base operator's output factor, so a replicate costs ``O(m r^2)``
+and builds nothing ``m x m``.  The four-block sum ``A + B - C - C^T`` would
 cancel to a ``sqrt(eps)`` floor in the norm.  A resample that repeats the base
 pairs row for row is the same operator and gets exactly 0.0.
 """
@@ -21,9 +22,7 @@ pairs row for row is the same operator and gets exactly 0.0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
@@ -72,35 +71,37 @@ def _resample_deviation(base: FittedOperator, g: np.ndarray, v1: np.ndarray,
     h = g.T @ ng
     h[np.diag_indices_from(h)] += base.m * base.lam
     d = cho_solve(cho_factor(h, check_finite=False), ng.T, check_finite=False).T - v1
-    m_red = d.T @ (base.k_yy @ d)
+    p = base.l_y.T @ d
+    m_red = p.T @ p
     top = eigvalsh(0.5 * (m_red + m_red.T), check_finite=False)[-1]
     return float(np.sqrt(max(0.0, top)))
 
 
 def bootstrap_deviation_quantile(data: PairedDataset, lam: float, spec: KernelSpec,
                                  m_b: int = 200, alpha: float = 0.05, seed: int = 0,
-                                 workers: int | None = None) -> BootstrapSummary:
+                                 base: FittedOperator | None = None) -> BootstrapSummary:
     """Estimate the ``1 - alpha`` quantile of the operator deviation.
 
     Replicate ``j`` draws its resample indices from substream ``j`` of the
-    master seed, so results are reproducible and independent of ``workers``.
+    master seed, so results are reproducible.  ``base`` is the operator fit
+    on ``(data, lam, spec)`` if the caller already has it; it is fit here
+    otherwise.
     """
     if m_b < 1:
         raise ValueError(f"m_b must be >= 1, got {m_b}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    base = fit(data, lam, spec)
+    if base is None:
+        base = fit(data, lam, spec)
+    elif not (base.lam == lam and base.spec == spec and np.array_equal(base.x_train, data.x)
+              and np.array_equal(base.y_train, data.y)):
+        raise ValueError("base operator was not fit on this data, lam and kernel")
     vals, vecs = base._kxx_eig
     g = vecs * np.sqrt(vals)                    # K_XX = g g^T on the retained space
     v1 = base.solve(g)
 
-    replicate = partial(_resample_deviation, base, g, v1)
-    draws = resample_indices(base.m, m_b, seed)
-    if workers is not None and workers > 1 and m_b > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, m_b)) as pool:
-            deviations = np.array(list(pool.map(replicate, draws)))
-    else:
-        deviations = np.array([replicate(idx) for idx in draws])
+    deviations = np.array([_resample_deviation(base, g, v1, idx)
+                           for idx in resample_indices(base.m, m_b, seed)])
     deviations.sort()
     delta = float(deviations[quantile_index(m_b, alpha)])
     return BootstrapSummary(deviations, delta, alpha, seed)

@@ -3,8 +3,7 @@
 Usage: ``mmdtube <subcommand> [--config cfg.json] [overrides]``.  A config
 file provides the experiment parameters; individual flags override single
 fields.  Commands exit 0 on success and print a machine-readable error JSON
-to stderr otherwise.  The ``TOOL_THREADS`` environment variable sets the
-number of threads that run bootstrap replicates; unset, they run serially.
+to stderr otherwise.
 """
 
 from __future__ import annotations

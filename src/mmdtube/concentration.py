@@ -5,6 +5,8 @@ second moment and variance of the rank-one feature outer products formed
 from a sample pair.  Both moments reduce to plain kernel averages and are
 estimated here as V-statistics (the ``i = j`` terms are kept, matching the
 integral forms directly; the resulting small-sample bias is accepted).
+The cross-covariance norm is read from one pivoted-Cholesky factor of the
+stacked sample, in ``O(m r^2)`` with ``r`` its numerical rank.
 
 For Langevin dynamics whose invariant measure satisfies a Poincare
 inequality with constant ``rate``, both moments admit envelopes that decay
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _BLOCK_ENTRIES, KernelSpec, _upper_bands
+from .kernels import KernelSpec, pivoted_cholesky
 from .sde import PairedDataset
 
 
@@ -37,16 +39,14 @@ def estimate_second_moment(data: PairedDataset, spec: KernelSpec) -> float:
 def estimate_hs_norm_cxy(data: PairedDataset, spec: KernelSpec) -> float:
     """V-statistic estimate of the Hilbert-Schmidt norm of the cross-covariance.
 
-    Returns ``sqrt((1/m^2) sum_ij k(x_i, x_j) k(y_i, y_j))``.  The summand is
-    symmetric in ``(i, j)``, so the accumulation walks the upper triangle in
-    row blocks and never materializes full Gram matrices.
+    Returns ``sqrt((1/m^2) sum_ij k(x_i, x_j) k(y_i, y_j))``, which is
+    ``sqrt(tr(K_XX K_YY)) / m = ||L_X^T L_Y||_F / m`` for the pivoted-Cholesky
+    factor ``[L_X; L_Y]`` of the stacked points ``[X; Y]``: ``O(m r^2)`` and
+    no Gram matrix.
     """
     m = data.m
-    total = float(m)  # diagonal: k(x_i, x_i) k(y_i, y_i) = 1 for gaussian-rbf
-    # half the band size: a K_XX band and a K_YY band are held at once
-    for _, _, k in _upper_bands((data.x, data.y), spec, _BLOCK_ENTRIES // 2):
-        total += 2.0 * float(np.sum(k))
-    return math.sqrt(total / (m * m))
+    factor = pivoted_cholesky(np.vstack([data.x, data.y]), spec)
+    return float(np.linalg.norm(factor[:m].T @ factor[m:])) / m
 
 
 @dataclass(frozen=True)

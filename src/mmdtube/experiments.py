@@ -10,7 +10,6 @@ to the emitting directory so output trees are relocatable and comparable.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -124,22 +123,10 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _env_workers() -> int | None:
-    raw = os.environ.get("TOOL_THREADS")
-    if not raw:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"TOOL_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 @dataclass
 class _Run:
-    """One ``(config, seed)`` run: the dataset, its kernel and its bootstrap.
+    """One ``(config, seed)`` run: the dataset, its kernel, its fitted operator
+    and its bootstrap.
 
     The data are drawn from ``data_stream`` and the bootstrap replicates from
     ``boot_stream``; every command reads them from here, so all artifacts of a
@@ -167,11 +154,15 @@ class _Run:
         return resolve_kernel(self.config, self.data)
 
     @cached_property
+    def op(self) -> operators.FittedOperator:
+        return operators.fit(self.data, self.config.lam, self.spec)
+
+    @cached_property
     def summary(self) -> bootstrap.BootstrapSummary:
         c = self.config
         return bootstrap.bootstrap_deviation_quantile(
             self.data, c.lam, self.spec, m_b=c.m_b, alpha=c.alpha_conf,
-            seed=_seed_of(self.boot_stream), workers=_env_workers())
+            seed=_seed_of(self.boot_stream), base=self.op)
 
 
 def _write_dataset(out: Path, run: _Run) -> dict:
@@ -261,12 +252,11 @@ def cmd_oracle_compare(config: ExperimentConfig, oracle: OracleSpec = OracleSpec
     for i, m in enumerate(m_list):
         # three streams per size: data, bootstrap, oracle trials
         run = _Run(config.with_overrides(m=m), *streams[3 * i:3 * i + 2])
-        op = operators.fit(run.data, config.lam, run.spec)
         oracle_mmds = []
         for trial_stream in streams[3 * i + 2].spawn(oracle.trials):
             fresh = sde.simulate_pairs(model, initial, config.lag, oracle.sample_count,
                                        dt=config.dt, seed=_seed_of(trial_stream))
-            pushed = operators.pushforward(op, embed_sample(fresh.x))
+            pushed = operators.pushforward(run.op, embed_sample(fresh.x))
             oracle_mmds.append(mmd(embed_sample(fresh.y), pushed, run.spec))
         rows.append((m, run.summary.quantile_delta, float(np.mean(oracle_mmds))))
     table = np.array(rows)
@@ -278,8 +268,7 @@ def cmd_oracle_compare(config: ExperimentConfig, oracle: OracleSpec = OracleSpec
 
 def _write_tube(out: Path, run: _Run, bound: str = "bootstrap",
                f_override: float | None = None) -> dict:
-    config, data, spec = run.config, run.data, run.spec
-    op = operators.fit(data, config.lam, spec)
+    config, data, spec, op = run.config, run.data, run.spec, run.op
     e_norm = operators.operator_norm(op)
 
     if f_override is not None:
@@ -311,7 +300,8 @@ def _write_tube(out: Path, run: _Run, bound: str = "bootstrap",
         "bandwidth_rule": config.bandwidth if isinstance(config.bandwidth, str) else "explicit",
         "seed": config.seed,
         "rank": len(op._kxx_eig[0]),
-        "ridge_condition": float(op.ridge[-1] / op.ridge[0]),
+        "factor_width": op.l_x.shape[1],
+        "ridge_condition": op.ridge_condition,
         "growth": e_norm + f_norm,
         "expanding": e_norm + f_norm >= 1.0,
         "note": "step index t corresponds to physical time t * lag; "

@@ -85,16 +85,19 @@ def propagate_tube(op: FittedOperator, initial: Embedding, rho0: float, T: int,
         raise ValueError(f"rho0 must be nonnegative, got {rho0}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    # Steps t >= 1 sit on the training outputs: one K_XY and the cached K_YY
-    # serve them all; the initial norm is taken before K_XY exists (peak memory).
-    # kernels.gram is looked up at call time so perfbench/spans.py traces it.
+    # Steps t >= 1 sit on the training outputs: one K_XY serves them all, and
+    # their norms are ||L_Y^T w||; the initial norm is taken before K_XY exists
+    # (peak memory).  The centres use the dense K_XY so they stay the exact
+    # pushforward chain.  kernels.gram is looked up at call time so
+    # perfbench/spans.py traces it.
     emb_norms = [rkhs_norm(initial, op.spec)]
     embeddings = [initial, pushforward(op, initial)]
     k_xy = kernels.gram(op.x_train, op.y_train, op.spec)
     for _ in range(T - 1):
         embeddings.append(Embedding(op.y_train, op.solve(k_xy @ embeddings[-1].weights)))
     del k_xy
-    emb_norms += [np.sqrt(max(0.0, q.weights @ op.k_yy @ q.weights)) for q in embeddings[1:]]
+    weights = np.array([q.weights for q in embeddings[1:]])
+    emb_norms += list(np.linalg.norm(weights @ op.l_y, axis=1))
     radii = radius_series(norms.e_norm, norms.f_norm, rho0, emb_norms[:T])
     steps = tuple(
         TubeStep(embedding=q, radius=float(r), norm=float(n))

@@ -22,6 +22,7 @@ from mmdtube import (
     estimate_hs_norm_cxy,
     estimate_second_moment,
     fit,
+    gram,
     mmd,
     mmd_to_gaussian,
     operator_diff_norm,
@@ -80,9 +81,10 @@ def test_criterion_02_operator_norm_self_consistency():
             op = fit(data, float(rng.uniform(0.02, 0.5)), spec)
             e, mu_star = operator_norm_maximizer(op)
             assert abs(rkhs_norm(pushforward(op, mu_star), spec) - e) < 1e-8
+            k_xx = gram(op.x_train, op.x_train, spec)
             for _ in range(100):
                 alpha = rng.standard_normal(m)
-                alpha /= math.sqrt(alpha @ op.k_xx @ alpha)
+                alpha /= math.sqrt(alpha @ k_xx @ alpha)
                 mu = Embedding(data.x, alpha)
                 assert rkhs_norm(pushforward(op, mu), spec) <= e + 1e-8
 

@@ -66,13 +66,6 @@ class TestBootstrap:
         np.testing.assert_array_equal(a.deviations, b.deviations)
         assert a.quantile_delta == b.quantile_delta
 
-    def test_workers_do_not_change_results(self, spec):
-        data = ou_dataset(m=25, seed=2)
-        serial = bootstrap_deviation_quantile(data, 0.05, spec, m_b=9, alpha=0.2, seed=4)
-        threaded = bootstrap_deviation_quantile(data, 0.05, spec, m_b=9, alpha=0.2,
-                                                seed=4, workers=3)
-        np.testing.assert_array_equal(serial.deviations, threaded.deviations)
-
     def test_deviations_sorted_nonnegative(self, spec):
         data = ou_dataset(m=20, seed=5)
         s = bootstrap_deviation_quantile(data, 0.05, spec, m_b=15, alpha=0.1, seed=6)
@@ -145,3 +138,6 @@ class TestBootstrap:
             bootstrap_deviation_quantile(data, 0.05, spec, m_b=0, alpha=0.1, seed=0)
         with pytest.raises(ValueError):
             bootstrap_deviation_quantile(data, 0.05, spec, m_b=5, alpha=1.5, seed=0)
+        with pytest.raises(ValueError):  # a base fit on other data
+            bootstrap_deviation_quantile(data, 0.05, spec, m_b=5, alpha=0.1, seed=0,
+                                         base=fit(ou_dataset(m=10, seed=16), 0.05, spec))

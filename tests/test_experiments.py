@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
 
-from mmdtube import bootstrap, load_dataset, load_tube_radii, quantile_index, sde
+from mmdtube import bootstrap, fit, load_dataset, load_tube_radii, operators, quantile_index, sde
 from mmdtube.cli import main
 from mmdtube.experiments import (
     ExperimentConfig,
@@ -180,6 +180,14 @@ class TestCommands:
         meta = json.loads(cmd_tube(cfg, f_override=5.0)["tube_json"].read_text())
         assert meta["growth"] > 5.0 and meta["expanding"] is True
 
+    def test_tube_reports_factor_width(self, tmp_path):
+        cfg = small_config(tmp_path, T=3)
+        meta = json.loads(cmd_tube(cfg)["tube_json"].read_text())
+        run = _Run.of(cfg)
+        width = fit(run.data, cfg.lam, run.spec).l_x.shape[1]
+        assert meta["factor_width"] == width
+        assert meta["rank"] <= width <= 2 * cfg.m
+
     def test_tube_bernstein_bound_source(self, tmp_path):
         cfg = small_config(tmp_path, T=3)
         out = cmd_tube(cfg, bound="bernstein")
@@ -220,6 +228,18 @@ class TestCommands:
                             counted("bootstrap", bootstrap.bootstrap_deviation_quantile))
         cmd_reproduce_ou(small_config(tmp_path, T=3, m_b=12))
         assert calls == {"simulate": 1, "bootstrap": 1}
+
+    def test_bootstrap_tube_fits_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "fit", counted)
+        monkeypatch.setattr(bootstrap, "fit", counted)
+        cmd_tube(small_config(tmp_path, T=3, m_b=12))
+        assert len(calls) == 1
 
     def test_single_commands_match_reproduce_ou(self, tmp_path):
         cfg = small_config(tmp_path / "single", T=3, m_b=12)
@@ -282,21 +302,3 @@ class TestCli:
         assert code == 0
         capsys.readouterr()
         assert (tmp_path / "tube.csv").exists()
-
-    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
-    def test_tool_threads_rejects_bad_values(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("TOOL_THREADS", value)
-        assert main(["bootstrap", "--m", "25", "--out", str(tmp_path)]) == 1
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "ValueError"
-        assert "TOOL_THREADS" in payload["message"] and repr(value) in payload["message"]
-
-    def test_tool_threads_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TOOL_THREADS", "2")
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert main(["bootstrap", "--m", "25", "--out", str(out_a)]) == 0
-        monkeypatch.delenv("TOOL_THREADS")
-        assert main(["bootstrap", "--m", "25", "--out", str(out_b)]) == 0
-        capsys.readouterr()
-        assert (out_a / "deviations.csv").read_bytes() == (out_b / "deviations.csv").read_bytes()

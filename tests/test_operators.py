@@ -8,8 +8,13 @@ from mmdtube import (
     Embedding,
     KernelSpec,
     PairedDataset,
+    UniformInitial,
+    bootstrap_deviation_quantile,
+    double_well_model,
     embed_sample,
+    estimate_hs_norm_cxy,
     fit,
+    gram,
     median_bandwidth,
     mmd,
     mmd_to_gaussian,
@@ -19,7 +24,10 @@ from mmdtube import (
     operator_norm_maximizer,
     pushforward,
     rkhs_norm,
+    simulate_pairs,
 )
+from mmdtube.bootstrap import resample_indices
+from mmdtube.operators import RANK_RTOL
 
 from conftest import ou_dataset
 
@@ -35,7 +43,7 @@ class TestFit:
     def test_ridge_system_assembly(self, spec):
         # m=2, lambda=0.5: K_XX + 2*0.5*I = [[2, e^{-1/2}], [e^{-1/2}, 2]]
         op = fit(toy_dataset(), 0.5, spec)
-        ridge = op.k_xx + op.m * op.lam * np.eye(op.m)
+        ridge = gram(op.x_train, op.x_train, spec) + op.m * op.lam * np.eye(op.m)
         np.testing.assert_allclose(ridge, [[2.0, EXP_HALF], [EXP_HALF, 2.0]], atol=1e-15)
 
     @pytest.mark.parametrize("lam", [0.5, 1e-2, 1e-4, 1e-6])
@@ -48,7 +56,7 @@ class TestFit:
         rng = np.random.default_rng(22)
         for data in (ou, dup):
             op = fit(data, lam, spec)
-            ridge = op.k_xx + op.m * lam * np.eye(op.m)
+            ridge = gram(op.x_train, op.x_train, spec) + op.m * lam * np.eye(op.m)
             for rhs in (rng.standard_normal(op.m), rng.standard_normal((op.m, 3))):
                 x = op.solve(rhs)
                 assert x.shape == rhs.shape
@@ -74,7 +82,8 @@ class TestPushforward:
             op = fit(data, 0.3, spec)
             alpha = rng.standard_normal(m)
             out = pushforward(op, Embedding(data.x, alpha))
-            expected = np.linalg.solve(op.k_xx + m * 0.3 * np.eye(m), op.k_xx @ alpha)
+            k = gram(op.x_train, op.x_train, spec)
+            expected = np.linalg.solve(k + m * 0.3 * np.eye(m), k @ alpha)
             np.testing.assert_array_equal(out.anchors, data.y)
             np.testing.assert_allclose(out.weights, expected, atol=1e-12)
 
@@ -166,19 +175,24 @@ class TestOperatorNorm:
         data = ou_dataset(m=30, seed=8)
         op = fit(data, 0.05, spec)
         e = operator_norm(op)
+        k = gram(op.x_train, op.x_train, spec)
         for _ in range(100):
             a = rng.standard_normal(30)
-            a /= math.sqrt(a @ op.k_xx @ a)
+            a /= math.sqrt(a @ k @ a)
             assert rkhs_norm(pushforward(op, Embedding(data.x, a)), spec) <= e + 1e-8
 
-    def test_agrees_with_generalized_eigenproblem(self, spec):
-        # direct K^{-1}-form solve on well-conditioned instances
+    def test_agrees_with_generalized_eigenproblem(self):
+        # a fully dense K^{-1}-form solve on well-conditioned instances
+        spec = KernelSpec(bandwidth=0.3)
         for seed in (0, 1, 2):
             data = ou_dataset(m=15, seed=seed)
             op = fit(data, 0.1, spec)
-            s = op.solve(op.solve(op.k_yy).T)  # (K + m lam I)^{-1} K_YY (K + m lam I)^{-1}
-            g = op.k_xx @ s @ op.k_xx
-            top = eigh(0.5 * (g + g.T), op.k_xx, eigvals_only=True)[-1]
+            k = gram(data.x, data.x, spec)
+            assert np.linalg.cond(k) <= 1e8  # the reference's own precondition
+            ridge = k + op.m * op.lam * np.eye(op.m)
+            s = np.linalg.solve(ridge, np.linalg.solve(ridge, gram(data.y, data.y, spec)).T)
+            g = k @ s @ k  # S = (K + m lam I)^{-1} K_YY (K + m lam I)^{-1}
+            top = eigh(0.5 * (g + g.T), k, eigvals_only=True)[-1]
             assert operator_norm(op) == pytest.approx(math.sqrt(max(top, 0.0)), abs=1e-8)
 
 
@@ -234,3 +248,70 @@ class TestOperatorDiffNorm:
         op2 = fit(data, 0.1, KernelSpec(2.0))
         with pytest.raises(ValueError):
             operator_diff_norm(op1, op2)
+
+
+def _factor_cases():
+    """(name, data, spec, lam): the criterion-2 ranges, the pipeline default,
+    r >= m, duplicated anchors, all-identical points and the double well."""
+    ou = ou_dataset(m=60, seed=21)
+    same = np.full((12, 1), 0.7)
+    dw = simulate_pairs(double_well_model(4.0), UniformInitial(-2.0, 2.0), lag=0.1, m=200,
+                        seed=3)
+    default = ou_dataset(m=250, lag=0.1, seed=7)
+    return [
+        ("criterion-small", ou_dataset(m=5, lag=1.0, seed=1), KernelSpec(1.6), 0.5),
+        ("criterion-large", ou_dataset(m=50, lag=0.2, seed=2), KernelSpec(0.6), 0.02),
+        ("pipeline-default", default, KernelSpec(median_bandwidth(default.x)), 0.01),
+        ("narrow-bandwidth", ou, KernelSpec(0.05), 0.01),
+        ("triplicated", PairedDataset(np.repeat(ou.x[:20], 3, axis=0),
+                                      np.repeat(ou.y[:20], 3, axis=0), lag=ou.lag, seed=0),
+         KernelSpec(1.0), 1e-3),
+        ("identical", PairedDataset(same, same, lag=1.0, seed=0), KernelSpec(1.0), 0.01),
+        ("double-well", dw, KernelSpec(median_bandwidth(dw.x)), 0.01),
+    ]
+
+
+@pytest.mark.parametrize("name, data, spec, lam", _factor_cases(),
+                         ids=[c[0] for c in _factor_cases()])
+def test_factor_matches_dense_references(name, data, spec, lam):
+    # Every quantity the pivoted-Cholesky factor feeds, against dense m x m
+    # linear algebra built here from the Grams alone.
+    op = fit(data, lam, spec)
+    m = data.m
+    k_xx, k_yy = gram(data.x, data.x, spec), gram(data.y, data.y, spec)
+    ridge = k_xx + m * lam * np.eye(m)
+    if name == "narrow-bandwidth":
+        assert op.l_x.shape[1] >= m
+    if name == "identical":
+        assert op.l_x.shape[1] == 1
+    if op.l_x.shape[1] < m:  # below full rank the operator keeps nothing m x m
+        assert max(v.size for v in vars(op).values() if isinstance(v, np.ndarray)) < m * m
+
+    def rel_err(got, want):
+        return np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want)
+
+    rhs = np.random.default_rng(0).standard_normal((m, 3))
+    assert rel_err(op.solve(rhs), np.linalg.solve(ridge, rhs)) <= 1e-8
+
+    vals, vecs = np.linalg.eigh(k_xx)
+    keep = vals > RANK_RTOL * vals[-1]
+    g = vecs[:, keep] * np.sqrt(vals[keep])      # K_XX = g g^T on its numerical range
+
+    def top_norm(d):                             # sqrt of the top eigenvalue of d^T K_YY d
+        return math.sqrt(max(0.0, np.linalg.eigvalsh(d.T @ k_yy @ d)[-1]))
+
+    e_dense = top_norm(np.linalg.solve(ridge, g))
+    assert rel_err(operator_norm(op), e_dense) <= 1e-8
+
+    # a replicate is the norm of [S^T (S K S^T + m lam)^{-1} S - (K + m lam)^{-1}] K
+    # on the base span, S selecting the resampled rows
+    summary = bootstrap_deviation_quantile(data, lam, spec, m_b=6, alpha=0.5, seed=5)
+    dense = []
+    for idx in resample_indices(m, 6, 5):
+        sel = np.eye(m)[idx]
+        resampled = sel.T @ np.linalg.solve(sel @ k_xx @ sel.T + m * lam * np.eye(m), sel @ g)
+        dense.append(top_norm(resampled - np.linalg.solve(ridge, g)))
+    assert np.max(np.abs(summary.deviations - np.sort(dense))) <= 1e-8 * e_dense
+
+    hs_dense = math.sqrt(float(np.sum(k_xx * k_yy))) / m
+    assert rel_err(estimate_hs_norm_cxy(data, spec), hs_dense) <= 1e-8
