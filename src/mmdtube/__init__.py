@@ -119,6 +119,8 @@ __all__ = [
     "pushforward",
     "quantile_index",
     "radius_series",
+    "rkhs_inner",
+    "rkhs_norm",
     "save_dataset",
     "save_tube",
     "simulate_pairs",

@@ -4,19 +4,22 @@ weighted RKHS embeddings, and MMD.
 States are plain numpy arrays: a point set is an ``(n, d)`` float array, a
 Gram matrix an ``(n, m)`` float array of pairwise kernel values.  A weighted
 embedding ``sum_i w_i k(z_i, .)`` is the universal finite representation of an
-embedded distribution; all inner products, norms, and MMD values reduce to
-quadratic forms in Gram matrices.
+embedded distribution.  Inner products, norms and MMD values are read from
+the coordinates ``c = L^T w`` in one pivoted-Cholesky factor ``L`` of the
+stacked anchors; past a width of ``2 sqrt(n)`` that factor costs more than
+one dense pass, and they fall back to blocked dense quadratic forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-# Row blocks above this many Gram entries are accumulated chunk-wise instead
-# of materialising the full matrix (large-sample quadratic forms).
+# The dense fallback for quadratic forms holds at most this many Gram entries
+# at a time (at least one row).
 _BLOCK_ENTRIES = 16_000_000
 
 # Pivoted Cholesky stops when every residual diagonal entry is at most this,
@@ -74,24 +77,6 @@ def _rbf_block(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarr
     return sq
 
 
-def _upper_bands(points: np.ndarray, spec: KernelSpec):
-    """Walk the strict upper triangle of the Gram of ``points`` in row bands.
-
-    Yields ``(start, stop, k)`` where ``k`` holds rows ``start:stop`` and
-    columns ``start:`` of the Gram, with the entries on and below the diagonal
-    zeroed.  A band holds at most ``_BLOCK_ENTRIES`` entries (at least one row).
-    """
-    n = points.shape[0]
-    start = 0
-    while start < n - 1:
-        stop = min(start + max(1, _BLOCK_ENTRIES // (n - start)), n)
-        k = _rbf_block(points[start:stop], points[start:], spec)
-        for r in range(stop - start):  # keep strictly-upper entries only
-            k[r, : r + 1] = 0.0
-        yield start, stop, k
-        start = stop
-
-
 def gram(rows, cols, spec: KernelSpec) -> np.ndarray:
     """Matrix of all pairwise kernel evaluations ``K[i, j] = k(rows[i], cols[j])``.
 
@@ -121,16 +106,23 @@ def pivoted_cholesky(points, spec: KernelSpec) -> np.ndarray:
     pick the lowest index, so the factor is deterministic.
     """
     z = as_points(points)
+    return _pivoted_cholesky(z, spec, z.shape[0])
+
+
+def _pivoted_cholesky(z: np.ndarray, spec: KernelSpec, max_rank: int):
+    """``pivoted_cholesky``, or ``None`` if it needs over ``max_rank`` columns."""
     n = z.shape[0]
     d = np.ones(n)  # k(z, z) = 1 for gaussian-rbf
-    rows = np.empty((min(n, 32), n))  # L^T, grown by doubling
+    rows = np.empty((min(max_rank, 32), n))  # L^T, grown by doubling
     r = 0
-    while r < n:
+    while True:
         i = int(np.argmax(d))
         if d[i] <= FACTOR_TOL:
-            break
+            return rows[:r].T
+        if r == max_rank:
+            return None
         if r == rows.shape[0]:
-            rows = np.vstack([rows, np.empty((min(r, n - r), n))])
+            rows = np.vstack([rows, np.empty((min(r, max_rank - r), n))])
         col = _rbf_block(z[i:i + 1], z, spec)[0]
         col -= rows[:r, i] @ rows[:r]
         col /= np.sqrt(d[i])
@@ -138,7 +130,6 @@ def pivoted_cholesky(points, spec: KernelSpec) -> np.ndarray:
         d -= col * col
         d[i] = 0.0
         r += 1
-    return rows[:r].T
 
 
 def median_bandwidth(points, max_points: int = 2000) -> float:
@@ -200,51 +191,57 @@ def embed_sample(samples) -> Embedding:
     return Embedding(pts, np.full(n, 1.0 / n))
 
 
-def _self_quadratic(e: Embedding, spec: KernelSpec) -> float:
-    """``w^T K w`` for one embedding, touching only the upper triangle."""
-    diag = float(np.sum(e.weights**2))  # k(z, z) = 1 for gaussian-rbf
-    off = 0.0
-    for start, stop, k in _upper_bands(e.anchors, spec):
-        off += float(e.weights[start:stop] @ k @ e.weights[start:])
-    return diag + 2.0 * off
+def _coordinates(a: Embedding, b: Embedding, spec: KernelSpec):
+    """``(L_A^T w_a, L_B^T w_b)`` for the factor of ``[A; B]`` (``A`` if ``a is
+    b``), or ``None`` past ``2 sqrt(n)`` columns for ``n`` stacked anchors."""
+    if a.dim != b.dim:
+        raise ValueError(f"state dimension mismatch: {a.dim} vs {b.dim}")
+    z = a.anchors if a is b else np.vstack([a.anchors, b.anchors])
+    factor = _pivoted_cholesky(z, spec, math.isqrt(4 * z.shape[0]))
+    if factor is None:
+        return None
+    c_a = a.weights @ factor[:len(a)]
+    return c_a, (c_a if a is b else b.weights @ factor[len(a):])
 
 
-def _weighted_quadratic(a: Embedding, b: Embedding, spec: KernelSpec) -> float:
-    """``w_a^T K_ab w_b`` with chunked accumulation for large anchor sets."""
-    n, m = len(a), len(b)
-    if n * m <= _BLOCK_ENTRIES:
-        return float(a.weights @ gram(a.anchors, b.anchors, spec) @ b.weights)
-    if a is b:
-        return _self_quadratic(a, spec)
-    block = max(1, _BLOCK_ENTRIES // m)
+def _blocked_inner(a: Embedding, b: Embedding, spec: KernelSpec) -> float:
+    """``w_a^T K_AB w_b`` over row blocks of at most ``_BLOCK_ENTRIES`` entries."""
+    block = max(1, _BLOCK_ENTRIES // len(b))
     total = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, len(a), block):
+        stop = min(start + block, len(a))
         k = _rbf_block(a.anchors[start:stop], b.anchors, spec)
         total += float(a.weights[start:stop] @ k @ b.weights)
     return total
 
 
 def rkhs_inner(a: Embedding, b: Embedding, spec: KernelSpec) -> float:
-    """RKHS inner product of two weighted embeddings."""
-    if a.dim != b.dim:
-        raise ValueError(f"state dimension mismatch: {a.dim} vs {b.dim}")
-    return _weighted_quadratic(a, b, spec)
+    """RKHS inner product ``w_a^T K_AB w_b = c_a . c_b`` of two embeddings."""
+    coords = _coordinates(a, b, spec)
+    if coords is None:
+        return _blocked_inner(a, b, spec)
+    return float(coords[0] @ coords[1])
 
 
 def rkhs_norm(e: Embedding, spec: KernelSpec) -> float:
-    """RKHS norm ``sqrt(w^T K w)``; round-off negatives are clamped to 0."""
-    return float(np.sqrt(max(0.0, rkhs_inner(e, e, spec))))
+    """RKHS norm ``||L^T w||``; the fallback clamps ``w^T K w`` at zero."""
+    coords = _coordinates(e, e, spec)
+    if coords is None:
+        return float(np.sqrt(max(0.0, _blocked_inner(e, e, spec))))
+    return float(np.linalg.norm(coords[0]))
 
 
 def mmd(a: Embedding, b: Embedding, spec: KernelSpec) -> float:
-    """RKHS distance between two embeddings.
+    """RKHS distance ``||c_a - c_b||`` between two embeddings.
 
     For empirical mean embeddings this is the sample maximum mean
-    discrepancy: ``sqrt(<a,a> + <b,b> - 2<a,b>)`` with the squared value
-    clamped at zero before the square root.
+    discrepancy.  Taking the difference in factor coordinates keeps the
+    relative accuracy of distances far below ``sqrt(eps) * ||a||``.  The
+    fallback clamps ``<a,a> + <b,b> - 2<a,b>`` at zero before the square root.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"state dimension mismatch: {a.dim} vs {b.dim}")
-    sq = rkhs_inner(a, a, spec) + rkhs_inner(b, b, spec) - 2.0 * rkhs_inner(a, b, spec)
-    return float(np.sqrt(max(0.0, sq)))
+    coords = _coordinates(a, b, spec)
+    if coords is None:
+        sq = (_blocked_inner(a, a, spec) + _blocked_inner(b, b, spec)
+              - 2.0 * _blocked_inner(a, b, spec))
+        return float(np.sqrt(max(0.0, sq)))
+    return float(np.linalg.norm(coords[0] - coords[1]))

@@ -86,10 +86,10 @@ def propagate_tube(op: FittedOperator, initial: Embedding, rho0: float, T: int,
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     # Steps t >= 1 sit on the training outputs: one K_XY serves them all, and
-    # their norms are ||L_Y^T w||; the initial norm is taken before K_XY exists
-    # (peak memory).  The centres use the dense K_XY so they stay the exact
-    # pushforward chain.  kernels.gram is looked up at call time so
-    # perfbench/spans.py traces it.
+    # their norms are ||L_Y^T w||; the initial norm comes from a factor of the
+    # initial anchors, as every rkhs_norm does.  The centres use the dense
+    # K_XY so they stay the exact pushforward chain.  kernels.gram is looked
+    # up at call time so perfbench/spans.py traces it.
     emb_norms = [rkhs_norm(initial, op.spec)]
     embeddings = [initial, pushforward(op, initial)]
     k_xy = kernels.gram(op.x_train, op.y_train, op.spec)

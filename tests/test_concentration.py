@@ -48,7 +48,7 @@ class TestHsNorm:
         assert estimate_hs_norm_cxy(data, spec) == pytest.approx(
             math.sqrt(acc / 100.0), abs=1e-12)
 
-    def test_blocked_path_matches_direct(self, spec):
+    def test_factored_path_matches_dense(self, spec):
         data = ou_dataset(m=4000, lag=0.3, seed=2)
         from mmdtube.kernels import gram
         direct = math.sqrt(float(np.mean(gram(data.x, data.x, spec)

@@ -6,17 +6,29 @@ import pytest
 from mmdtube import (
     Embedding,
     KernelSpec,
+    UniformInitial,
+    double_well_model,
     embed_sample,
     eval_kernel,
+    fit,
     gram,
     median_bandwidth,
     mmd,
+    pushforward,
     rkhs_inner,
     rkhs_norm,
+    simulate_pairs,
 )
-from mmdtube.kernels import _self_quadratic
+from mmdtube.kernels import _coordinates
 
 from conftest import brute_mmd_sq, ou_dataset, random_embedding, rbf
+
+
+def wide_3d_embedding(rng, n):
+    """A 3-D sample whose factor is wider than the cap, so forms take the fallback."""
+    e = embed_sample(rng.standard_normal((n, 3)))
+    assert _coordinates(e, e, KernelSpec(1.0)) is None
+    return e
 
 EXP_HALF = math.exp(-0.5)
 
@@ -144,20 +156,20 @@ class TestInnerAndNorm:
         with pytest.raises(ValueError):
             rkhs_inner(Embedding([[0.0]], [1.0]), Embedding([[0.0, 0.0]], [1.0]), spec)
 
-    def test_blocked_path_matches_direct_quadratic(self, spec):
-        # large enough to cross the chunked-accumulation threshold
+    def test_large_anchor_set_matches_dense_quadratic(self, spec):
         rng = np.random.default_rng(4)
         n = 4200
         e = Embedding(rng.standard_normal((n, 1)), rng.standard_normal(n) / n)
         direct = float(e.weights @ gram(e.anchors, e.anchors, spec) @ e.weights)
         assert rkhs_inner(e, e, spec) == pytest.approx(direct, abs=1e-10)
-        assert _self_quadratic(e, spec) == pytest.approx(direct, abs=1e-10)
 
 
 class TestMmd:
     def test_identity(self, spec):
         e = embed_sample([[0.3], [0.7]])
         assert mmd(e, e, spec) == 0.0
+        wide = wide_3d_embedding(np.random.default_rng(10), 300)
+        assert mmd(wide, wide, spec) == 0.0
 
     def test_two_deltas(self, spec):
         d0 = Embedding([[0.0]], [1.0])
@@ -171,6 +183,9 @@ class TestMmd:
             a = random_embedding(rng, 2, 15)
             b = random_embedding(rng, 2, 15)
             assert abs(mmd(a, b, spec) - mmd(b, a, spec)) < 1e-14
+        a, b = (wide_3d_embedding(rng, 300) for _ in range(2))
+        assert _coordinates(a, b, spec) is None
+        assert abs(mmd(a, b, spec) - mmd(b, a, spec)) < 1e-14
 
     def test_matches_brute_force_double_sum(self, spec):
         rng = np.random.default_rng(6)
@@ -203,6 +218,62 @@ class TestMmd:
         rng = np.random.default_rng(8)
         e = random_embedding(rng, 3, 20)
         assert rkhs_norm(e, spec) == pytest.approx(math.sqrt(rkhs_inner(e, e, spec)))
+
+
+    def test_tiny_distance_keeps_relative_accuracy(self, spec):
+        # sqrt(<a,a> + <b,b> - 2<a,b>) cancels to round-off at this distance;
+        # the difference of the factor coordinates does not
+        rng = np.random.default_rng(11)
+        anchors = rng.standard_normal((200, 1))
+        k = gram(anchors, anchors, spec)
+        delta = rng.standard_normal(200)
+        delta *= 2.6e-10 / math.sqrt(delta @ k @ delta)
+        reference = math.sqrt(delta @ k @ delta)
+        a = Embedding(anchors, np.full(200, 1.0 / 200))
+        b = Embedding(anchors, a.weights + delta)
+        assert abs(mmd(a, b, spec) - reference) <= 1e-6 * reference
+
+
+def _gate_case(name):
+    """``(a, b, factored)``: two probability embeddings and whether their forms
+    are read from the factor (True) or the dense fallback (False)."""
+    rng = np.random.default_rng(12)
+    if name == "ou-sample-vs-pushforward":
+        data = ou_dataset(m=400, lag=0.1, seed=7)
+        fresh = ou_dataset(m=400, lag=0.1, seed=8)
+        op = fit(data, 0.01, KernelSpec(1.0))
+        return embed_sample(fresh.y), pushforward(op, embed_sample(fresh.x)), True
+    if name == "triplicated":
+        pts = rng.standard_normal((100, 1))
+        return embed_sample(np.vstack([pts] * 3)), embed_sample(pts[:40]), True
+    if name == "identical":
+        return embed_sample(np.full((30, 1), 0.7)), embed_sample(np.full((10, 1), 0.7)), True
+    if name == "double-well":
+        dw = simulate_pairs(double_well_model(4.0), UniformInitial(-2.0, 2.0), lag=0.1,
+                            m=300, seed=3)
+        return embed_sample(dw.x), embed_sample(dw.y), True
+    # 3-D: the factor of 2000 stacked anchors is wider than the cap of 89
+    return (embed_sample(rng.standard_normal((1800, 3))),
+            embed_sample(rng.standard_normal((200, 3)) + 0.3), False)
+
+
+class TestFactoredForms:
+    @pytest.mark.parametrize("name", ["ou-sample-vs-pushforward", "triplicated", "identical",
+                                      "double-well", "3d-fallback"])
+    def test_matches_dense(self, spec, name):
+        a, b, factored = _gate_case(name)
+        coords = _coordinates(a, b, spec)
+        assert (coords is not None) == factored
+        z = np.vstack([a.anchors, b.anchors])
+        if np.all(z == z[0]):
+            assert coords[0].shape == (1,)
+        signed = np.concatenate([a.weights, -b.weights])
+        inner = float(a.weights @ gram(a.anchors, b.anchors, spec) @ b.weights)
+        norm = math.sqrt(float(a.weights @ gram(a.anchors, a.anchors, spec) @ a.weights))
+        dist = math.sqrt(max(0.0, float(signed @ gram(z, z, spec) @ signed)))
+        assert rkhs_inner(a, b, spec) == pytest.approx(inner, abs=1e-12)
+        assert rkhs_norm(a, spec) == pytest.approx(norm, abs=1e-12)
+        assert mmd(a, b, spec) == pytest.approx(dist, abs=1e-12)
 
 
 class TestMedianBandwidth:
