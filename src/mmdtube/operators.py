@@ -13,10 +13,10 @@ give ``K_XX ~= U diag(s) U^T`` with ``U = Q V``; every ridge solve is
 the spectral formula plus the exact term on the complement of ``U``.  The
 operator norm and the bootstrap read the retained eigenpairs of the same
 factorisation and take every ``K_YY`` quadratic form as ``||L_Y^T w||^2``,
-all in ``O(m r^2)``.  The operator norm and the norm of a difference of two
-operators are exact suprema over the span of the training features,
-realized as symmetric eigenproblems on that span; the difference norm is
-the dense reference and builds its own Grams.
+all in ``O(m r^2)``, and so does ``pushforward`` on anchors ``X`` or ``Y``.
+The operator norm and the norm of a difference of two operators are exact
+suprema over the span of the training features, realized as symmetric
+eigenproblems on it; the difference norm is the dense reference with its own Grams.
 
 Gram matrices of resampled data are generically singular (duplicated
 anchors), so every constraint matrix is handled through a thresholded
@@ -102,13 +102,23 @@ def pushforward(op: FittedOperator, mu: Embedding) -> Embedding:
     """Apply the fitted operator to an embedding.
 
     The result is anchored on the training outputs with weights
-    ``(K_XX + m*lam*I)^{-1} K_{X,Z} w``.
+    ``(K_XX + m*lam*I)^{-1} K_{X,Z} w``.  On anchors ``Z`` equal to ``X`` or
+    ``Y`` (tested as ``gram`` does) ``K_{X,Z} w`` is ``L_X (L_X^T w)`` or
+    ``L_X (L_Y^T w)``; other anchors build the dense ``K_{X,Z}``.
     """
     if mu.dim != op.x_train.shape[1]:
         raise ValueError(f"state dimension mismatch: {mu.dim} vs {op.x_train.shape[1]}")
-    k_xz = gram(op.x_train, mu.anchors, op.spec)
-    weights = op.solve(k_xz @ mu.weights)
-    return Embedding(op.y_train, weights)
+    if _same_points(mu.anchors, op.x_train):
+        k_w = op.l_x @ (op.l_x.T @ mu.weights)
+    elif _same_points(mu.anchors, op.y_train):
+        k_w = op.l_x @ (op.l_y.T @ mu.weights)
+    else:
+        k_w = gram(op.x_train, mu.anchors, op.spec) @ mu.weights
+    return Embedding(op.y_train, op.solve(k_w))
+
+
+def _same_points(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or (a.shape == b.shape and np.array_equal(a, b))
 
 
 def _top(m_red: np.ndarray, w: np.ndarray, anchors: np.ndarray) -> tuple[float, Embedding]:

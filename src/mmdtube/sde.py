@@ -191,42 +191,36 @@ def simulate_pairs(model: SdeModel, initial: InitialSampler, lag: float, m: int,
                    dt: float = 1e-3, seed: int = 0) -> PairedDataset:
     """Draw ``m`` independent ``(x, y)`` pairs separated by lag time ``lag``.
 
-    OU models use the exact transition; everything else is integrated with
-    ``ceil(lag / dt)`` Euler-Maruyama steps.  Pair ``i`` uses substream ``i``
-    of the master seed: first the initial draw, then the transition noise.
+    OU models use the exact transition; everything else takes ``n = ceil(lag /
+    dt)`` Euler-Maruyama steps of ``lag / n``, and the dataset records ``dt``,
+    the largest step.  Pair ``i`` uses substream ``i`` of the master seed:
+    first the initial draw, then the transition noise (one normal for OU).
     """
     if m < 2:
         raise ValueError(f"need at least 2 pairs (Gram ridge degenerates), got m={m}")
     if lag <= 0:
         raise ValueError(f"lag must be positive, got {lag}")
-    children = np.random.SeedSequence(seed).spawn(m)
-    rngs = [np.random.default_rng(c) for c in children]
-
-    if model.ou_rate is not None:
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
+    ou = model.ou_rate is not None
+    if ou:
         decay, sd = _ou_transition(lag, model.ou_rate, 2.0 / model.diffusion_const**2)
-        x = np.empty(m)
-        y = np.empty(m)
-        for i, rng in enumerate(rngs):
-            x[i] = initial.sample(rng, 1)[0]
-            y[i] = x[i] * decay + sd * rng.standard_normal()
-        return PairedDataset(x[:, None], y[:, None], lag, seed, model.name, dt=None)
-
-    steps = max(1, math.ceil(lag / dt))
+    steps = 1 if ou else max(1, math.ceil(lag / dt))
     x = np.empty(m)
     y = np.empty(m)
     for start in range(0, m, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, m)
-        x0 = np.empty(stop - start)
-        noise = np.empty((stop - start, steps, 1))
-        for i in range(start, stop):
-            x0[i - start] = initial.sample(rngs[i], 1)[0]
-            noise[i - start, :, 0] = rngs[i].standard_normal(steps)
-        state = x0[:, None]
+        noise = np.empty((stop - start, steps))
+        for j, rng in enumerate(rngs[start:stop]):
+            x[start + j] = initial.sample(rng, 1)[0]
+            rng.standard_normal(out=noise[j])
+        if ou:
+            y[start:stop] = x[start:stop] * decay + sd * noise[:, 0]
+            continue
+        state = x[start:stop, None]
         for k in range(steps):
-            state = _em_step(model, state, dt, noise[:, k, :], k)
+            state = _em_step(model, state, lag / steps, noise[:, k, None], k)
         y[start:stop] = state[:, 0]
-        x[start:stop] = x0
-    return PairedDataset(x[:, None], y[:, None], lag, seed, model.name, dt=dt)
+    return PairedDataset(x[:, None], y[:, None], lag, seed, model.name, None if ou else dt)
 
 
 def save_dataset(data: PairedDataset, csv_path, sidecar_path=None) -> tuple[Path, Path]:

@@ -6,10 +6,12 @@ pushes the embedding through the fitted operator and grows the radius by
     rho_{i+1} = F * (||q_i|| + rho_i) + E * rho_i,
 
 where ``E`` is the operator norm and ``F`` the operator deviation estimate.
-Both scalars are evaluated once, before the loop.  The closed-form bounds
-below are the exact unrolling of this recursion (computable variant) and the
-non-computable variant that requires the true embedded norms; they exist for
-cross-checking and for synthetic ground-truth studies.
+Both scalars are evaluated once, before the loop.  The centres are ``T``
+calls of ``pushforward``; from step 1 on they sit on the training outputs,
+so those calls and their norms read the operator's factor and build no Gram.
+The closed-form bounds below are the exact unrolling of this recursion
+(computable variant) and the non-computable variant that requires the true
+embedded norms; they exist for cross-checking and synthetic ground-truth studies.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .kernels import Embedding, rkhs_norm
 from .operators import FittedOperator, OperatorNorms, pushforward
 
@@ -85,19 +86,13 @@ def propagate_tube(op: FittedOperator, initial: Embedding, rho0: float, T: int,
         raise ValueError(f"rho0 must be nonnegative, got {rho0}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    # Steps t >= 1 sit on the training outputs: one K_XY serves them all, and
-    # their norms are ||L_Y^T w||; the initial norm comes from a factor of the
-    # initial anchors, as every rkhs_norm does.  The centres use the dense
-    # K_XY so they stay the exact pushforward chain.  kernels.gram is looked
-    # up at call time so perfbench/spans.py traces it.
+    # Steps t >= 1 sit on the training outputs, so their norms are ||L_Y^T w||;
+    # the initial norm comes from a factor of the initial anchors (rkhs_norm).
     emb_norms = [rkhs_norm(initial, op.spec)]
-    embeddings = [initial, pushforward(op, initial)]
-    k_xy = kernels.gram(op.x_train, op.y_train, op.spec)
-    for _ in range(T - 1):
-        embeddings.append(Embedding(op.y_train, op.solve(k_xy @ embeddings[-1].weights)))
-    del k_xy
-    weights = np.array([q.weights for q in embeddings[1:]])
-    emb_norms += list(np.linalg.norm(weights @ op.l_y, axis=1))
+    embeddings = [initial]
+    for _ in range(T):
+        embeddings.append(pushforward(op, embeddings[-1]))
+        emb_norms.append(np.linalg.norm(op.l_y.T @ embeddings[-1].weights))
     radii = radius_series(norms.e_norm, norms.f_norm, rho0, emb_norms[:T])
     steps = tuple(
         TubeStep(embedding=q, radius=float(r), norm=float(n))

@@ -7,6 +7,7 @@ from scipy.linalg import eigh
 from mmdtube import (
     Embedding,
     KernelSpec,
+    OperatorNorms,
     PairedDataset,
     UniformInitial,
     bootstrap_deviation_quantile,
@@ -22,6 +23,7 @@ from mmdtube import (
     operator_diff_norm_maximizer,
     operator_norm,
     operator_norm_maximizer,
+    propagate_tube,
     pushforward,
     rkhs_norm,
     simulate_pairs,
@@ -315,3 +317,21 @@ def test_factor_matches_dense_references(name, data, spec, lam):
 
     hs_dense = math.sqrt(float(np.sum(k_xx * k_yy))) / m
     assert rel_err(estimate_hs_norm_cxy(data, spec), hs_dense) <= 1e-8
+
+    # pushforward of embeddings anchored on equal copies of X and of Y
+    w = np.random.default_rng(1).uniform(0.5, 1.5, m) / m
+    for z in (data.x, data.y):
+        pushed = pushforward(op, Embedding(z.copy(), w)).weights
+        assert rel_err(pushed, np.linalg.solve(ridge, gram(data.x, z, spec) @ w)) <= 1e-8
+
+    # a T=5 tube against the dense chain: w_1 = (K_XX + m lam I)^{-1} K_XX w_0,
+    # then w_{t+1} = (K_XX + m lam I)^{-1} K_XY w_t
+    tube = propagate_tube(op, Embedding(data.x, w), 0.1, 5, OperatorNorms(e_dense, 0.1))
+    k_xy = gram(data.x, data.y, spec)
+    chain = [w, np.linalg.solve(ridge, k_xx @ w)]
+    for _ in range(4):
+        chain.append(np.linalg.solve(ridge, k_xy @ chain[-1]))
+    dense_norms = [math.sqrt(w @ k_xx @ w)] + [math.sqrt(c @ k_yy @ c) for c in chain[1:]]
+    for step, want, norm in zip(tube.steps, chain, dense_norms, strict=True):
+        assert rel_err(step.embedding.weights, want) <= 1e-8
+        assert rel_err(step.norm, norm) <= 1e-8

@@ -148,6 +148,14 @@ class TestSimulatePairs:
         assert np.all(np.isfinite(data.y))
         assert data.dt == 1e-2
 
+    def test_euler_maruyama_stops_at_lag(self):
+        # lag 0.1 over dt 0.03 takes 4 steps of 0.025, reaching exactly t = 0.1;
+        # steps of dt would overshoot to t = 0.12 and give 0.97^4
+        model = SdeModel(drift=lambda x: -x, diffusion_const=0.0, name="decay")
+        data = simulate_pairs(model, PointInitial(1.0), lag=0.1, m=3, dt=0.03, seed=0)
+        np.testing.assert_allclose(data.y, 0.975**4, rtol=0, atol=1e-15)
+        assert data.dt == 0.03
+
 
 class TestDatasetValidation:
     def test_shape_mismatch_rejected(self):

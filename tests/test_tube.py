@@ -16,6 +16,7 @@ from mmdtube import (
     rkhs_norm,
     save_tube,
 )
+from mmdtube import kernels, operators
 from mmdtube.tube import AmbiguityTube, TubeStep
 
 from conftest import ou_dataset
@@ -147,6 +148,24 @@ class TestPropagateTube:
             propagate_tube(op, initial, 0.1, 0, OperatorNorms(1.0, 0.1))
         with pytest.raises(ValueError):
             OperatorNorms(-1.0, 0.1)
+
+    def test_training_anchors_build_no_gram(self, spec, monkeypatch):
+        # a tube from the training inputs, and a pushforward of an equal copy of
+        # the training outputs, read the operator's factor; foreign anchors
+        # still build the dense cross-Gram
+        data = ou_dataset(m=40, seed=5)
+        op = fit(data, 0.05, spec)
+        norms = OperatorNorms(operator_norm(op), 0.1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gram called")
+
+        monkeypatch.setattr(operators, "gram", refuse)
+        monkeypatch.setattr(kernels, "gram", refuse)
+        assert propagate_tube(op, embed_sample(data.x), 0.1, 5, norms).horizon == 5
+        pushforward(op, embed_sample(data.y.copy()))
+        with pytest.raises(AssertionError, match="gram called"):
+            pushforward(op, embed_sample(ou_dataset(m=30, seed=6).x))
 
 
 class TestTubeSerialization:
