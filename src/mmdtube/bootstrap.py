@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
 from .kernels import KernelSpec
 from .operators import FittedOperator, fit
@@ -70,10 +69,10 @@ def _resample_deviation(base: FittedOperator, g: np.ndarray, v1: np.ndarray,
     ng = n[:, None] * g
     h = g.T @ ng
     h[np.diag_indices_from(h)] += base.m * base.lam
-    d = cho_solve(cho_factor(h, check_finite=False), ng.T, check_finite=False).T - v1
+    d = np.linalg.solve(h, ng.T).T - v1
     p = base.l_y.T @ d
     m_red = p.T @ p
-    top = eigvalsh(0.5 * (m_red + m_red.T), check_finite=False)[-1]
+    top = np.linalg.eigvalsh(0.5 * (m_red + m_red.T))[-1]
     return float(np.sqrt(max(0.0, top)))
 
 

@@ -181,7 +181,7 @@ def _write_bootstrap(out: Path, run: _Run) -> dict:
         "alpha": summary.confidence_alpha,
         "delta": summary.quantile_delta,
         "deviations_csv_path": dev_csv.name,
-        "seed": run.config.seed,
+        "seed": summary.seed,
     })
     return {"deviations_csv": dev_csv, "summary_json": summary_json, "summary": summary}
 

@@ -16,11 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 # The dense fallback for quadratic forms holds at most this many Gram entries
 # at a time (at least one row).
 _BLOCK_ENTRIES = 16_000_000
+
+# Squared distances are summed over coordinates in row chunks of about this
+# many entries (at least one row), so the per-coordinate temporary stays small.
+_DIST_CHUNK = 65_536
 
 # Pivoted Cholesky stops when every residual diagonal entry is at most this,
 # about 5 ulp of the unit RBF diagonal.  Worst relative error of the ridge
@@ -69,12 +72,39 @@ def eval_kernel(x, y, spec: KernelSpec) -> float:
     return float(np.exp(-diff.dot(diff) / (2.0 * spec.bandwidth**2)))
 
 
+def _sq_dists(rows: np.ndarray, cols_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``out[i, j] = sum_k (rows[i, k] - cols_t[k, j])**2``, summed in order of ``k``.
+
+    ``cols_t`` is the column set transposed to ``(d, n)``, so each coordinate
+    is contiguous.  The summation order is that of ``cdist(rows, cols,
+    "sqeuclidean")``, so the two agree bit for bit in any dimension (the
+    tests compare them).  Callers pass row chunks of about ``_DIST_CHUNK``
+    entries, which keeps the ``d > 1`` term in cache.
+    """
+    if out is None:
+        out = np.empty((rows.shape[0], cols_t.shape[1]))
+    np.subtract(rows[:, :1], cols_t[0], out=out)
+    np.square(out, out=out)
+    if rows.shape[1] > 1:
+        term = np.empty_like(out)
+        for k in range(1, rows.shape[1]):
+            np.subtract(rows[:, k:k + 1], cols_t[k], out=term)
+            np.square(term, out=term)
+            out += term
+    return out
+
+
 def _rbf_block(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    # in-place scale and exp: the temporaries would dominate at this size
-    sq = cdist(rows, cols, metric="sqeuclidean")
-    sq *= -1.0 / (2.0 * spec.bandwidth**2)
-    np.exp(sq, out=sq)
-    return sq
+    # scale and exp each chunk in place while it is in cache
+    out = np.empty((rows.shape[0], cols.shape[0]))
+    cols_t = np.ascontiguousarray(cols.T)
+    scale = -1.0 / (2.0 * spec.bandwidth**2)
+    step = max(1, _DIST_CHUNK // cols.shape[0])
+    for start in range(0, rows.shape[0], step):
+        chunk = _sq_dists(rows[start:start + step], cols_t, out[start:start + step])
+        chunk *= scale
+        np.exp(chunk, out=chunk)
+    return out
 
 
 def gram(rows, cols, spec: KernelSpec) -> np.ndarray:
@@ -144,9 +174,20 @@ def median_bandwidth(points, max_points: int = 2000) -> float:
         # deterministic thinning keeps the heuristic cheap on large samples
         stride = int(np.ceil(pts.shape[0] / max_points))
         pts = pts[::stride]
-    if pts.shape[0] < 2:
+    n = pts.shape[0]
+    if n < 2:
         return 1.0
-    d = pdist(pts)
+    # the pairs i < j in row-major order, as pdist lists them
+    d = np.empty(n * (n - 1) // 2)
+    pts_t = np.ascontiguousarray(pts.T)
+    step = max(1, _DIST_CHUNK // n)
+    pos = 0
+    for start in range(0, n - 1, step):
+        block = _sq_dists(pts[start:start + step], pts_t[:, start + 1:])
+        np.sqrt(block, out=block)
+        for i, row in enumerate(block):
+            d[pos:pos + row.size - i] = row[i:]
+            pos += row.size - i
     med = float(np.median(d))
     if med > 0:
         return med
@@ -212,6 +253,7 @@ def _blocked_inner(a: Embedding, b: Embedding, spec: KernelSpec) -> float:
         stop = min(start + block, len(a))
         k = _rbf_block(a.anchors[start:stop], b.anchors, spec)
         total += float(a.weights[start:stop] @ k @ b.weights)
+        del k  # two blocks never coexist
     return total
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .kernels import Embedding, KernelSpec, as_points, gram, pivoted_cholesky
 from .sde import PairedDataset
@@ -69,7 +68,7 @@ class FittedOperator:
         factor = pivoted_cholesky(np.vstack([x_train, y_train]), spec)
         self.l_x, self.l_y = factor[:self.m], factor[self.m:]
         q, r = np.linalg.qr(self.l_x)
-        vals, v = eigh(r @ r.T)
+        vals, v = np.linalg.eigh(r @ r.T)
         self.eigvecs = q @ v    # m x min(m, r): K_XX ~= eigvecs diag(vals) eigvecs^T
         self.ridge = vals + self.m * self.lam   # ascending spectrum of K_XX + m lam I on eigvecs
         if self.ridge[0] <= 0:  # a round-off-negative eigenvalue outweighs m lam
@@ -125,7 +124,7 @@ def _top(m_red: np.ndarray, w: np.ndarray, anchors: np.ndarray) -> tuple[float, 
     """Square root of the top eigenvalue of the quadratic form ``m_red`` and
     the embedding on ``anchors`` with weights ``w v`` attaining it, where ``v``
     is the top eigenvector and ``w`` maps reduced to anchor coordinates."""
-    vals, vecs = eigh(0.5 * (m_red + m_red.T))
+    vals, vecs = np.linalg.eigh(0.5 * (m_red + m_red.T))
     return float(np.sqrt(max(0.0, vals[-1]))), Embedding(anchors, w @ vecs[:, -1])
 
 
@@ -162,7 +161,7 @@ def operator_diff_norm_maximizer(op1: FittedOperator,
     c = t1.T @ gram(op1.y_train, op2.y_train, op1.spec) @ t2
     m_full = (t1.T @ gram(op1.y_train, op1.y_train, op1.spec) @ t1
               + t2.T @ gram(op2.y_train, op2.y_train, op2.spec) @ t2 - c - c.T)
-    vals, vecs = _truncated_eig(*eigh(gram(z, z, op1.spec)))
+    vals, vecs = _truncated_eig(*np.linalg.eigh(gram(z, z, op1.spec)))
     w = vecs / np.sqrt(vals)                    # pseudo-inverse square root
     return _top(w.T @ m_full @ w, w, z)
 

@@ -174,8 +174,8 @@ def _em_step(model: SdeModel, state: np.ndarray, dt: float, noise: np.ndarray,
 def euler_maruyama(model: SdeModel, x0, dt: float, steps: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Integrate one trajectory; returns a ``(steps + 1, d)`` array with row 0 = x0."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     state = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -200,6 +200,8 @@ def simulate_pairs(model: SdeModel, initial: InitialSampler, lag: float, m: int,
         raise ValueError(f"need at least 2 pairs (Gram ridge degenerates), got m={m}")
     if lag <= 0:
         raise ValueError(f"lag must be positive, got {lag}")
+    if not (math.isfinite(dt) and dt > 0):  # checked for OU too, which does not use it
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
     ou = model.ou_rate is not None
     if ou:

@@ -1,7 +1,9 @@
-"""The demos that call ``pushforward`` and ``propagate_tube`` run to completion.
+"""The demos that exercise kernels, bootstrap, ``pushforward`` and
+``propagate_tube`` run to completion.
 
-Demos 03, 04 and 05 take about 2.3 s together.  Demo 02 is left out: its
-100k-step single trajectory takes about 12 s and calls neither function.
+Demos 01, 03, 04, 05 and 06 take about 1.3 s together (each a fresh process
+on 2 cores).  Demo 02 is left out: its 100k-step single trajectory takes
+about 6 s and calls none of them.
 """
 
 import os
@@ -14,8 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["03_operator_learning", "04_bootstrap_deviation",
-                                  "05_ambiguity_tube"])
+@pytest.mark.parametrize("name", ["01_kernels_and_mmd", "03_operator_learning",
+                                  "04_bootstrap_deviation", "05_ambiguity_tube",
+                                  "06_concentration_bounds"])
 def test_demo_exits_zero(name):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")], cwd=ROOT,

@@ -112,8 +112,13 @@ class TestCommands:
         assert devs.shape == (200,)
         summary = json.loads(out["summary_json"].read_text())
         assert summary["m"] == 40 and summary["m_b"] == 200
-        assert summary["alpha"] == 0.05 and summary["seed"] == 11
+        assert summary["alpha"] == 0.05
         assert summary["deviations_csv_path"] == "deviations.csv"
+        # the recorded seed is the one the replicates were drawn with
+        run = _Run.of(cfg)
+        again = bootstrap.bootstrap_deviation_quantile(run.data, cfg.lam, run.spec, m_b=200,
+                                                       alpha=0.05, seed=summary["seed"])
+        np.testing.assert_array_equal(again.deviations, devs)
         # delta is the ceil(200 * 0.95) = 190th sorted value (1-based)
         assert summary["delta"] == np.sort(devs)[189]
         assert quantile_index(200, 0.05) == 189

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 from mmdtube import (
     Embedding,
@@ -96,6 +97,18 @@ class TestGram:
     def test_dimension_mismatch_rejected(self, spec):
         with pytest.raises(ValueError):
             gram(np.zeros((2, 1)), np.zeros((2, 2)), spec)
+
+    # (100, 1000) and the 300-point square each span two distance chunks
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("n_rows, n_cols", [(5, 7), (100, 1000), (300, None)])
+    def test_bit_identical_to_cdist(self, dim, n_rows, n_cols):
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((n_rows, dim))
+        cols = rows if n_cols is None else rng.standard_normal((n_cols, dim))
+        expected = np.exp(cdist(rows, cols, "sqeuclidean") * (-1.0 / (2.0 * 0.7**2)))
+        if n_cols is None:
+            expected = 0.5 * (expected + expected.T)
+        np.testing.assert_array_equal(gram(rows, cols, KernelSpec(0.7)), expected)
 
 
 class TestEmbedSample:
@@ -288,6 +301,18 @@ class TestMedianBandwidth:
         # 6 of 10 pairwise distances are zero; fall back to the positive ones
         bw = median_bandwidth([[0.0], [0.0], [0.0], [0.0], [1.0]])
         assert bw == 1.0
+
+    @pytest.mark.parametrize("case", ["1d-duplicates", "3d", "thinned"])
+    def test_bit_identical_to_pdist(self, case):
+        rng = np.random.default_rng(4)
+        pts = {"1d-duplicates": np.vstack([np.zeros((250, 1)), rng.standard_normal((50, 1))]),
+               "3d": rng.standard_normal((500, 3)),
+               "thinned": rng.standard_normal((2500, 1))}[case]
+        d = pdist(pts[::3] if case == "thinned" else pts)  # max_points=1000 keeps every 3rd
+        if case == "1d-duplicates":  # most distances are zero: the positive fallback
+            assert np.median(d) == 0
+            d = d[d > 0]
+        assert median_bandwidth(pts, max_points=1000) == np.median(d)
 
     def test_large_sample_thinning_stays_close(self):
         rng = np.random.default_rng(9)

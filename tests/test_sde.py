@@ -67,8 +67,9 @@ class TestEulerMaruyama:
 
     def test_rejects_bad_dt_and_steps(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
-            euler_maruyama(generic_ou_model(), [0.0], dt=0.0, steps=5, rng=rng)
+        for dt in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                euler_maruyama(generic_ou_model(), [0.0], dt=dt, steps=5, rng=rng)
         with pytest.raises(ValueError):
             euler_maruyama(generic_ou_model(), [0.0], dt=0.1, steps=0, rng=rng)
 
@@ -126,6 +127,13 @@ class TestSimulatePairs:
         a = simulate_pairs(model, UniformInitial(-1.0, 1.0), lag=0.05, m=50, dt=0.01, seed=5)
         b = simulate_pairs(model, UniformInitial(-1.0, 1.0), lag=0.05, m=50, dt=0.01, seed=5)
         np.testing.assert_array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("model", [ou_model(1.0, 1.0), double_well_model(4.0)],
+                             ids=["ou", "double-well"])
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_rejects_bad_dt(self, model, dt):
+        with pytest.raises(ValueError, match="dt"):
+            simulate_pairs(model, PointInitial(0.0), lag=0.1, m=4, dt=dt, seed=0)
 
     def test_ou_uses_exact_transition(self):
         data = simulate_pairs(ou_model(1.0, 1.0), PointInitial(0.0), lag=0.5, m=4, seed=0)
